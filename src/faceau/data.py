@@ -1,5 +1,5 @@
 """Dataset layer: PGM/PPM image I/O, JSONL manifests, face geometry
-(alignment, square crop, bilinear resize), corpus cleaning and subsampling.
+(alignment, square crop, bilinear resize) and subsampling.
 
 Images are numpy arrays shaped [C, H, W]: uint8 on disk, float32 in [0, 1]
 inside the training pipeline. Points and landmarks are (x, y) pixel
@@ -374,28 +374,7 @@ def resize_bilinear(image, target):
 
 
 # ---------------------------------------------------------------------------
-# corpus cleaning and subsampling
-
-
-def clean_filter(manifest, min_side=64):
-    """Drop unreadable and low-resolution images; report every drop."""
-    kept, drops = [], []
-    for rec in manifest.records:
-        path = manifest.resolve(rec)
-        try:
-            img = read_image(path)
-        except (ImageFormatError, OSError) as e:
-            drops.append((rec, f"corrupt: {e}"))
-            continue
-        side = min(img.shape[1], img.shape[2])
-        if side < min_side:
-            drops.append((rec, f"low-resolution: min side {side} < {min_side}"))
-            continue
-        kept.append(rec)
-    filtered = Manifest(records=kept, au_names=manifest.au_names,
-                        dataset=manifest.dataset, image_size=manifest.image_size,
-                        base_dir=manifest.base_dir)
-    return filtered, drops
+# subsampling
 
 
 def subsample_every_n(manifest, n):
@@ -442,13 +421,6 @@ class Corpus:
             ),
             images=[self.images[i] for i in indices],
         )
-
-    def restrict_to(self, manifest):
-        """Subset matching another manifest's (subject, frame) keys."""
-        wanted = {(r.subject, r.frame) for r in manifest.records}
-        idx = [i for i, r in enumerate(self.manifest.records)
-               if (r.subject, r.frame) in wanted]
-        return self.subset(idx)
 
 
 def load_corpus(manifest):

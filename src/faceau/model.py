@@ -8,6 +8,12 @@ all tokens, mean-pools, and applies a norm + linear head.
 Weights live in a flat name->Tensor dict so the optimizer and the checkpoint
 format can treat them uniformly. Positional tables are fixed sin-cos and are
 recomputed from the config rather than serialized.
+
+This module also holds the one checkpoint container both file formats use:
+"MAEF" model weights (save_weights / load_weights / load_encoder_only) and
+"MAET" run state (faceau.train.save_run_state / load_run_state). One atomic
+writer, one checksum-verifying reader, and one check of the stored arrays
+against a fresh init_weights skeleton serve both.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import binascii
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -424,39 +431,54 @@ def classifier_forward(weights, patches, branch_hook=None):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint wire format
+# checkpoint container
 #
-#   magic "MAEF" | u32 version | u32 config_len | config JSON
-#   | u32 n_params | per param: u16 name_len, name, u8 ndim, u32 dims.., u64 offset
-#   | u64 data_len | float32 LE data | u32 crc32 of everything before it
+# Both checkpoint files share one frame:
+#
+#   magic | u32 version | u32 meta_len | meta JSON | [table]
+#   | u64 blob_len | float32 LE arrays | u32 crc32 of everything before it
+#
+# and differ only in where the array table of (key, shape, offset) lives.
+#
+# "MAEF" model weights: meta is the ModelConfig; a binary table follows it as
+#   u32 n_params | per param: u16 name_len, name, u8 ndim, u32 dims.., u64 offset
+#
+# "MAET" run state (train.save_run_state): meta carries both configs, progress
+#   counters, rng states, and the table as "arrays": [{key, shape, offset}]
 
-_MAGIC = b"MAEF"
+WEIGHTS_MAGIC = b"MAEF"
+RUN_STATE_MAGIC = b"MAET"
 _VERSION = 1
 
+# what a malformed but checksum-valid container raises while it is decoded
+_MALFORMED = (LookupError, TypeError, ValueError, ArithmeticError, RecursionError)
 
-def save_weights(weights, path):
-    cfg_json = json.dumps(dataclasses.asdict(weights.config), sort_keys=True).encode()
-    header = bytearray()
-    header += _MAGIC
-    header += struct.pack("<I", _VERSION)
-    header += struct.pack("<I", len(cfg_json))
-    header += cfg_json
-    header += struct.pack("<I", len(weights.params))
-    blob = bytearray()
-    for name, t in weights.params.items():
-        raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-        nb = name.encode()
-        header += struct.pack("<H", len(nb)) + nb
-        header += struct.pack("<B", t.data.ndim)
-        for d in t.data.shape:
-            header += struct.pack("<I", d)
-        header += struct.pack("<Q", len(blob))
-        blob += raw
-    header += struct.pack("<Q", len(blob))
-    body = bytes(header) + bytes(blob)
-    crc = binascii.crc32(body) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<I", crc))
+
+def write_container(path, magic, meta, arrays):
+    """Write (key, ndarray) pairs as float32 under `meta`, atomically: the
+    file is built beside `path` and renamed over it, so a reader never sees
+    half a checkpoint."""
+    table, blob = [], bytearray()
+    for key, arr in arrays:
+        table.append((key, arr.shape, len(blob)))
+        blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    binary_table = b""
+    if magic == WEIGHTS_MAGIC:
+        binary_table += struct.pack("<I", len(table))
+        for key, shape, offset in table:
+            name = key.encode()
+            binary_table += struct.pack(f"<H{len(name)}sB{len(shape)}IQ",
+                                        len(name), name, len(shape), *shape, offset)
+    else:
+        meta = dict(meta, arrays=[{"key": key, "shape": list(shape), "offset": offset}
+                                  for key, shape, offset in table])
+    meta_json = json.dumps(meta, sort_keys=True).encode()
+    body = (magic + struct.pack("<II", _VERSION, len(meta_json)) + meta_json
+            + binary_table + struct.pack("<Q", len(blob)) + blob)
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF))
+    os.replace(tmp, path)
 
 
 class _Reader:
@@ -478,87 +500,92 @@ class _Reader:
         return struct.unpack(fmt, self.take(size))[0]
 
 
-def _parse_checkpoint(path):
+def read_container(path, magic, decode):
+    """Checksum-, magic- and version-checked read of a container; returns
+    decode(meta, arrays) with arrays as {key: float32 ndarray}. Anything
+    malformed, in the frame or in what `decode` builds from the meta,
+    raises CheckpointError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12:
-        raise CheckpointError("file too small to be a checkpoint")
+        raise CheckpointError(f"{path}: file too small to be a checkpoint")
     body, trailer = raw[:-4], raw[-4:]
-    crc = struct.unpack("<I", trailer)[0]
-    if binascii.crc32(body) & 0xFFFFFFFF != crc:
-        raise CheckpointError("checksum mismatch: file is corrupt or truncated")
+    if binascii.crc32(body) & 0xFFFFFFFF != struct.unpack("<I", trailer)[0]:
+        raise CheckpointError(f"{path}: checksum mismatch: file is corrupt or truncated")
     r = _Reader(body)
-    if r.take(4) != _MAGIC:
-        raise CheckpointError("bad magic: not a checkpoint file")
+    if r.take(4) != magic:
+        raise CheckpointError(f"{path}: bad magic: not a {magic.decode()} file")
     version = r.u("<I")
     if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}, expected {_VERSION}")
-    cfg_len = r.u("<I")
+        raise CheckpointError(f"{path}: unsupported version {version}, expected {_VERSION}")
     try:
-        cfg_fields = json.loads(r.take(cfg_len).decode())
-        config = ModelConfig(**cfg_fields)
-    except (ValueError, TypeError) as e:
-        raise CheckpointError(f"bad embedded config: {e}") from e
-    n_params = r.u("<I")
-    table = []
-    for _ in range(n_params):
-        name = r.take(r.u("<H")).decode()
-        ndim = r.u("<B")
-        shape = tuple(r.u("<I") for _ in range(ndim))
-        offset = r.u("<Q")
-        table.append((name, shape, offset))
-    data_len = r.u("<Q")
-    blob = r.take(data_len)
-    arrays = {}
-    for name, shape, offset in table:
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 4 * count
-        if end > len(blob):
-            raise CheckpointError(f"parameter {name!r} extends past data block")
-        arrays[name] = np.frombuffer(blob, dtype="<f4", count=count,
-                                     offset=offset).reshape(shape).copy()
-    return config, arrays
+        meta = json.loads(r.take(r.u("<I")).decode())
+        if magic == WEIGHTS_MAGIC:
+            table = []
+            for _ in range(r.u("<I")):
+                name = r.take(r.u("<H")).decode()
+                shape = tuple(r.u("<I") for _ in range(r.u("<B")))
+                table.append((name, shape, r.u("<Q")))
+        else:
+            table = [(e["key"], tuple(e["shape"]), e["offset"]) for e in meta["arrays"]]
+        blob = r.take(r.u("<Q"))
+        arrays = {}
+        for key, shape, offset in table:
+            count = math.prod(shape)
+            if offset < 0 or min(shape, default=0) < 0 or offset + 4 * count > len(blob):
+                raise CheckpointError(f"{path}: array {key!r} extends past the data block")
+            arrays[key] = np.frombuffer(blob, dtype="<f4", count=count,
+                                        offset=offset).reshape(shape).copy()
+        return decode(meta, arrays)
+    except CheckpointError:
+        raise
+    except _MALFORMED as exc:
+        raise CheckpointError(f"{path}: malformed {magic.decode()} file: {exc!r}") from exc
+
+
+def match_arrays(arrays, expected, allow_extra=False):
+    """Check file arrays against `expected` {key: shape}, read off a fresh
+    init_weights skeleton; returns the expected arrays in the default dtype.
+    Fails whole, naming every missing, unexpected or mis-shaped key."""
+    problems = [f"{key}: missing" for key in expected if key not in arrays]
+    problems += [f"{key}: file {arrays[key].shape} vs model {shape}"
+                 for key, shape in expected.items()
+                 if key in arrays and arrays[key].shape != shape]
+    if not allow_extra:
+        problems += [f"{key}: unexpected" for key in arrays if key not in expected]
+    if problems:
+        raise CheckpointError("parameter mismatch; " + "; ".join(problems))
+    return {key: arrays[key].astype(ng.default_dtype()) for key in expected}
+
+
+def save_weights(weights, path):
+    write_container(path, WEIGHTS_MAGIC, dataclasses.asdict(weights.config),
+                    ((name, t.data) for name, t in weights.params.items()))
 
 
 def load_weights(path):
     """Full checkpoint -> ModelWeights; fails whole, never partially."""
-    config, arrays = _parse_checkpoint(path)
-    # fresh skeleton gives canonical ordering and expected shapes
-    skeleton = init_weights(config, np.random.default_rng(0))
-    missing = [n for n in skeleton.params if n not in arrays]
-    extra = [n for n in arrays if n not in skeleton.params]
-    wrong = [
-        f"{n}: file {arrays[n].shape} vs model {skeleton.params[n].shape}"
-        for n in skeleton.params
-        if n in arrays and arrays[n].shape != skeleton.params[n].data.shape
-    ]
-    if missing or extra or wrong:
-        raise CheckpointError(
-            "parameter mismatch; missing=" + repr(missing)
-            + " unexpected=" + repr(extra) + " shapes=" + repr(wrong))
-    for name, t in skeleton.params.items():
-        t.data = arrays[name].astype(ng.default_dtype())
-    return skeleton
+    def decode(meta, arrays):
+        # fresh skeleton gives canonical ordering and expected shapes
+        weights = init_weights(ModelConfig(**meta), np.random.default_rng(0))
+        loaded = match_arrays(arrays, {n: t.shape for n, t in weights.params.items()})
+        for name, t in weights.params.items():
+            t.data = loaded[name]
+        return weights
+    return read_container(path, WEIGHTS_MAGIC, decode)
 
 
 def load_encoder_only(path, config, rng):
     """Checkpoint encoder + fresh everything else, for the fine-tune handoff."""
-    ckpt_config, arrays = _parse_checkpoint(path)
-    weights = init_weights(config, rng)
-    problems = []
-    for name, t in weights.params.items():
-        if not name.startswith(ENCODER_PREFIXES):
-            continue
-        if name not in arrays:
-            problems.append(f"{name}: absent from checkpoint")
-        elif arrays[name].shape != t.data.shape:
-            problems.append(f"{name}: file {arrays[name].shape} vs model {t.data.shape}")
-    if problems:
-        raise CheckpointError("encoder load failed; " + "; ".join(problems))
-    for name, t in weights.params.items():
-        if name.startswith(ENCODER_PREFIXES):
-            t.data = arrays[name].astype(ng.default_dtype())
-    return weights
+    def decode(meta, arrays):
+        ModelConfig(**meta)  # the file's own config must be valid too
+        weights = init_weights(config, rng)
+        encoder = {n: t.shape for n, t in weights.params.items()
+                   if n.startswith(ENCODER_PREFIXES)}
+        for name, arr in match_arrays(arrays, encoder, allow_extra=True).items():
+            weights.params[name].data = arr
+        return weights
+    return read_container(path, WEIGHTS_MAGIC, decode)
 
 
 def encoder_bytes(weights):

@@ -42,19 +42,14 @@ def default_dtype():
     return _default_dtype
 
 
-def set_default_dtype(name):
-    global _default_dtype
-    if name not in _DTYPES:
-        raise ValueError(f"unsupported dtype {name!r}, expected one of {sorted(_DTYPES)}")
-    _default_dtype = _DTYPES[name]
-
-
 @contextlib.contextmanager
 def precision(name):
     """Temporarily switch the default dtype ('float32' or 'float64')."""
     global _default_dtype
+    if name not in _DTYPES:
+        raise ValueError(f"unsupported dtype {name!r}, expected one of {sorted(_DTYPES)}")
     saved = _default_dtype
-    set_default_dtype(name)
+    _default_dtype = _DTYPES[name]
     try:
         yield
     finally:

@@ -1,22 +1,22 @@
 """Run orchestration: seeded random streams, the pre-training and fine-tuning
 loops, resumable run state, and the sparse-frames fine-tuning protocol.
 
-Batches are processed one sample at a time with gradients accumulated into
-the parameter buffers and a single optimizer step per batch, so the effective
-batch size (the one the linear scaling rule sees) is `batch_size` regardless
-of memory. Every random draw comes from one of a fixed set of named streams
-derived from the run seed, which is what makes runs and resumes bit-exact.
+Both loops run on one training driver. Batches are processed one sample at a
+time with gradients accumulated into the parameter buffers and a single
+optimizer step per batch, so the effective batch size (the one the linear
+scaling rule sees) is `batch_size` regardless of memory; the loops differ
+only in how a batch's samples are prepared and in the per-sample loss. Every
+random draw comes from one of a fixed set of named streams derived from the
+run seed, which is what makes runs and resumes bit-exact. Run state is the
+"MAET" format of the checkpoint container in faceau.model.
 """
 
 from __future__ import annotations
 
-import binascii
 import csv
 import dataclasses
-import json
 import math
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +27,11 @@ from .data import to_float, subsample_every_n
 from .losses import (AULabels, denormalize_intensity, loss_detection,
                      loss_intensity, loss_pretrain, patch_normalize, raw_targets)
 from .metrics import f1_scores, intensity_report
-from .model import (ENCODER_PREFIXES, CheckpointError, ModelConfig, ModelWeights,
-                    classifier_forward, decoder_forward, encoder_forward,
-                    init_weights, load_encoder_only, patchify, sample_mask)
+from .model import (ENCODER_PREFIXES, RUN_STATE_MAGIC, CheckpointError,
+                    ModelConfig, ModelWeights, classifier_forward,
+                    decoder_forward, encoder_forward, init_weights,
+                    load_encoder_only, match_arrays, patchify, read_container,
+                    sample_mask, write_container)
 from .optim import NumericalError, OptimState, adamw_step, init_optim, lr_at
 
 
@@ -125,16 +127,6 @@ _TRAIN_PRESETS = {
     ),
 }
 
-# per-256 reference rates by (task, dataset family)
-REFERENCE_BASE_LR = {
-    ("detect", "bp4d"): 1e-4,
-    ("detect", "bp4d_plus"): 2e-4,
-    ("detect", "disfa"): 2e-4,
-    ("intensity", "bp4d"): 3e-5,
-    ("intensity", "disfa"): 1.5e-4,
-}
-
-
 def train_preset(name, **overrides):
     """Named TrainConfig preset ('pretrain', 'detect', 'intensity')."""
     if name not in _TRAIN_PRESETS:
@@ -142,13 +134,6 @@ def train_preset(name, **overrides):
     fields = dict(_TRAIN_PRESETS[name])
     fields.update(overrides)
     return TrainConfig(**fields)
-
-
-def reference_base_lr(task, dataset):
-    key = (task, dataset.lower().replace("+", "_plus"))
-    if key not in REFERENCE_BASE_LR:
-        raise TrainError(f"no reference rate for {key!r}")
-    return REFERENCE_BASE_LR[key]
 
 
 # ---------------------------------------------------------------------------
@@ -231,127 +216,95 @@ def start_run(model_config, config, init_from=None):
 
 
 # ---------------------------------------------------------------------------
-# resumable checkpoint container
+# run state: the "MAET" container of faceau.model
 #
-#   magic "MAET" | u32 version | u32 meta_len | meta JSON
-#   | u64 blob_len | float32 LE arrays | u32 crc32 of everything before it
-#
-# meta carries model/train configs, progress counters, rng states, and an
-# array table of (key, shape, offset) with keys "w:", "m:", "v:" + param name.
-
-_RUN_MAGIC = b"MAET"
-_RUN_VERSION = 1
+# meta carries the model and train configs, "epoch", "opt_step", the rng
+# states and the array table; arrays are keyed "w:", "m:", "v:" + param name.
 
 
 def save_run_state(path, run):
-    entries = []
-    blob = bytearray()
-    def put(tag, name, arr):
-        entries.append({"key": f"{tag}:{name}", "shape": list(arr.shape),
-                        "offset": len(blob)})
-        blob.extend(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    for name, t in run.weights.param_items():
-        put("w", name, t.data)
-    for name, _ in run.weights.param_items():
-        put("m", name, run.opt.m[name])
-        put("v", name, run.opt.v[name])
+    params = run.weights.params
+    arrays = [(f"w:{name}", t.data) for name, t in params.items()]
+    arrays += [(f"{tag}:{name}", moments[name]) for name in params
+               for tag, moments in (("m", run.opt.m), ("v", run.opt.v))]
     meta = {
         "model": dataclasses.asdict(run.weights.config),
         "train": dataclasses.asdict(run.config),
         "epoch": run.epoch,
         "opt_step": run.opt.step,
         "rng": _stream_states(run.streams),
-        "arrays": entries,
     }
-    meta_json = json.dumps(meta, sort_keys=True).encode()
-    header = (_RUN_MAGIC + struct.pack("<I", _RUN_VERSION)
-              + struct.pack("<I", len(meta_json)) + meta_json
-              + struct.pack("<Q", len(blob)))
-    body = header + bytes(blob)
-    crc = binascii.crc32(body) & 0xFFFFFFFF
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(body + struct.pack("<I", crc))
-    os.replace(tmp, path)  # resume point is never left half-written
+    write_container(path, RUN_STATE_MAGIC, meta, arrays)
 
 
 def load_run_state(path):
     """Parse + validate fully before touching any state; raises CheckpointError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16 or raw[:4] != _RUN_MAGIC:
-        raise CheckpointError(f"{path}: not a run-state file")
-    stored_crc = struct.unpack("<I", raw[-4:])[0]
-    if binascii.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise CheckpointError(f"{path}: checksum mismatch")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != _RUN_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    meta_len = struct.unpack("<I", raw[8:12])[0]
-    meta_end = 12 + meta_len
-    try:
-        meta = json.loads(raw[12:meta_end].decode())
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: bad metadata ({exc})") from exc
-    blob_len = struct.unpack("<Q", raw[meta_end:meta_end + 8])[0]
-    blob = raw[meta_end + 8:meta_end + 8 + blob_len]
-    if len(blob) != blob_len:
-        raise CheckpointError(f"{path}: truncated array data")
-
-    arrays = {}
-    for entry in meta["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
-        end = start + 4 * count
-        if end > blob_len:
-            raise CheckpointError(f"{path}: array {entry['key']!r} out of bounds")
-        arrays[entry["key"]] = np.frombuffer(
-            blob, dtype="<f4", count=count, offset=start).reshape(shape).copy()
-
-    model_config = ModelConfig(**meta["model"])
-    config = TrainConfig(**meta["train"])
-    skeleton = init_weights(model_config, np.random.default_rng(0))
-    problems = []
-    for name, t in skeleton.params.items():
-        for tag in ("w", "m", "v"):
-            key = f"{tag}:{name}"
-            if key not in arrays:
-                problems.append(f"{key}: missing")
-            elif arrays[key].shape != t.data.shape:
-                problems.append(
-                    f"{key}: file {arrays[key].shape} vs model {t.data.shape}")
-    if len(arrays) != 3 * len(skeleton.params):
-        problems.append("unexpected extra arrays")
-    if problems:
-        raise CheckpointError(f"{path}: " + "; ".join(problems))
-
-    opt = OptimState(step=meta["opt_step"])
-    for name, t in skeleton.params.items():
-        t.data = arrays[f"w:{name}"].astype(ng.default_dtype())
-        opt.m[name] = arrays[f"m:{name}"].astype(ng.default_dtype())
-        opt.v[name] = arrays[f"v:{name}"].astype(ng.default_dtype())
-    return RunState(weights=skeleton, opt=opt, config=config,
-                    streams=_restore_streams(meta["rng"]),
-                    epoch=meta["epoch"])
+    def decode(meta, arrays):
+        model_config = ModelConfig(**meta["model"])
+        config = TrainConfig(**meta["train"])
+        epoch, step = meta["epoch"], meta["opt_step"]
+        if not all(type(n) is int and n >= 0 for n in (epoch, step)):
+            raise CheckpointError(f"{path}: epoch and opt_step must be counts")
+        skeleton = init_weights(model_config, np.random.default_rng(0))
+        loaded = match_arrays(arrays, {f"{tag}:{name}": t.shape for tag in "wmv"
+                                       for name, t in skeleton.params.items()})
+        opt = OptimState(step=step)
+        for name, t in skeleton.params.items():
+            t.data = loaded[f"w:{name}"]
+            opt.m[name] = loaded[f"m:{name}"]
+            opt.v[name] = loaded[f"v:{name}"]
+        return RunState(weights=skeleton, opt=opt, config=config,
+                        streams=_restore_streams(meta["rng"]), epoch=epoch)
+    return read_container(path, RUN_STATE_MAGIC, decode)
 
 
 # ---------------------------------------------------------------------------
 # training loops
 
 
-def _steps_per_epoch(n, batch_size):
-    return math.ceil(n / batch_size)
-
-
-def _batch_starts(n, batch_size):
-    return range(0, n, batch_size)
-
-
 def _maybe_checkpoint(run, stop):
     cfg = run.config
     if cfg.checkpoint and (run.epoch % cfg.checkpoint_every == 0 or run.epoch == stop):
         save_run_state(cfg.checkpoint, run)
+
+
+def _train(run, corpus, until_epoch, prepare, sample_loss, after_epoch=None):
+    """The epoch/batch driver both stages share. Per batch: `prepare(idx)`
+    turns corpus indices into samples, `sample_loss(sample)` records each
+    sample's loss on its own tape, gradients accumulate at 1/len(batch), and
+    one AdamW step follows. Runs from run.epoch up to until_epoch (default:
+    config.epochs), calls `after_epoch()` after each epoch, then checkpoints
+    to config.checkpoint every checkpoint_every epochs. Returns the
+    TraceRows produced by this call."""
+    config = run.config
+    stop = config.epochs if until_epoch is None else min(until_epoch, config.epochs)
+    steps_per_epoch = math.ceil(len(corpus) / config.batch_size)
+    skip = ENCODER_PREFIXES if config.freeze_encoder else ()
+    rows = []
+    while run.epoch < stop:
+        order = run.streams["shuffle"].permutation(len(corpus))
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            lr = lr_at(config, run.step, steps_per_epoch)
+            samples = prepare(idx)
+            run.weights.zero_grad()
+            batch_loss = 0.0
+            for sample in samples:
+                with ng.Tape() as tape:
+                    loss = sample_loss(sample)
+                    share = ng.scale(loss, 1.0 / len(idx))
+                ng.backward(share, tape)
+                batch_loss += loss.item() / len(idx)
+            if not math.isfinite(batch_loss):
+                raise NumericalError(f"non-finite loss at step {run.step}")
+            adamw_step(run.weights, run.opt, lr, config.weight_decay,
+                       beta2=config.beta2, skip=skip)
+            rows.append(TraceRow(run.opt.step - 1, run.epoch, lr, batch_loss))
+        run.epoch += 1
+        if after_epoch is not None:
+            after_epoch()
+        _maybe_checkpoint(run, stop)
+    return rows
 
 
 def pretrain_loop(run, corpus, until_epoch=None):
@@ -364,42 +317,28 @@ def pretrain_loop(run, corpus, until_epoch=None):
     if len(corpus) == 0:
         raise TrainError("dataset is empty")
     cfg = run.weights.config
-    stop = config.epochs if until_epoch is None else min(until_epoch, config.epochs)
-    spe = _steps_per_epoch(len(corpus), config.batch_size)
-    rows = []
-    while run.epoch < stop:
-        order = run.streams["shuffle"].permutation(len(corpus))
-        for start in _batch_starts(len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            lr = lr_at(config, run.step, spe)
-            run.weights.zero_grad()
-            batch_loss = 0.0
-            for i in idx:
-                img = to_float(corpus.images[i])
-                if config.random_crop:
-                    img = random_crop_resize(img, run.streams["augment"],
-                                             config.crop_min_scale, 1.0)
-                patches = patchify(img, cfg.patch_size)
-                targets = (patch_normalize(patches) if cfg.norm_pix_target
-                           else raw_targets(patches))
-                plan = sample_mask(cfg.num_patches, cfg.mask_ratio,
-                                   run.streams["mask"])
-                with ng.Tape() as tape:
-                    latent = encoder_forward(run.weights, patches, plan)
-                    pred = decoder_forward(run.weights, latent, plan)
-                    loss = loss_pretrain(pred, targets, plan,
-                                         config.recon_loss, config.reduction)
-                    share = ng.scale(loss, 1.0 / len(idx))
-                ng.backward(share, tape)
-                batch_loss += loss.item() / len(idx)
-            if not math.isfinite(batch_loss):
-                raise NumericalError(f"non-finite loss at step {run.step}")
-            adamw_step(run.weights, run.opt, lr, config.weight_decay,
-                       beta2=config.beta2)
-            rows.append(TraceRow(run.opt.step - 1, run.epoch, lr, batch_loss))
-        run.epoch += 1
-        _maybe_checkpoint(run, stop)
-    return rows
+
+    def prepare(idx):
+        samples = []
+        for i in idx:
+            img = to_float(corpus.images[i])
+            if config.random_crop:
+                img = random_crop_resize(img, run.streams["augment"],
+                                         config.crop_min_scale, 1.0)
+            patches = patchify(img, cfg.patch_size)
+            targets = (patch_normalize(patches) if cfg.norm_pix_target
+                       else raw_targets(patches))
+            plan = sample_mask(cfg.num_patches, cfg.mask_ratio, run.streams["mask"])
+            samples.append((patches, targets, plan))
+        return samples
+
+    def sample_loss(sample):
+        patches, targets, plan = sample
+        latent = encoder_forward(run.weights, patches, plan)
+        pred = decoder_forward(run.weights, latent, plan)
+        return loss_pretrain(pred, targets, plan, config.recon_loss, config.reduction)
+
+    return _train(run, corpus, until_epoch, prepare, sample_loss)
 
 
 def _labels_for(rec, task, index):
@@ -442,73 +381,51 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None):
     if config.eval_every > 0 and eval_corpus is None:
         raise TrainError("eval_every > 0 needs a held-out eval corpus")
     cfg = run.weights.config
-    stop = config.epochs if until_epoch is None else min(until_epoch, config.epochs)
-    spe = _steps_per_epoch(len(corpus), config.batch_size)
-    skip = ENCODER_PREFIXES if config.freeze_encoder else ()
-    # frozen encoder means a deterministic feature extractor: no drop path
-    use_branch = config.drop_path_rate > 0 and not config.freeze_encoder
     use_aug = config.randaug_prob > 0 and config.randaug_magnitude > 0
-    rows = []
+    hook = None
+    # frozen encoder means a deterministic feature extractor: no drop path
+    if config.drop_path_rate > 0 and not config.freeze_encoder:
+        def hook(t):
+            return drop_path(t, config.drop_path_rate, run.streams["branch"],
+                             training=True)
+
+    def prepare(idx):
+        imgs = [to_float(corpus.images[i]) for i in idx]
+        labels = [_labels_for(corpus.manifest.records[i], task, i) for i in idx]
+        if use_aug:
+            imgs = [randaug_light(im, config.randaug_magnitude,
+                                  config.randaug_prob, run.streams["augment"])
+                    for im in imgs]
+        if task == "detect":
+            batch = np.stack(imgs)
+            mix = run.streams["mix"]
+            if config.mixup_alpha > 0 or config.cutmix_alpha > 0:
+                # with both enabled, one draw picks which mix this batch gets
+                if config.cutmix_alpha == 0 or (config.mixup_alpha > 0
+                                                and mix.random() < 0.5):
+                    batch, labels, _ = mixup(batch, labels, config.mixup_alpha, mix)
+                else:
+                    batch, labels, _ = cutmix(batch, labels, config.cutmix_alpha, mix)
+            imgs = list(batch)
+            if config.label_smoothing > 0:
+                labels = _smooth(labels, config.label_smoothing)
+        return [(patchify(np.asarray(img), cfg.patch_size), lab)
+                for img, lab in zip(imgs, labels)]
+
+    def sample_loss(sample):
+        patches, lab = sample
+        logits = classifier_forward(run.weights, patches, hook)
+        if task == "detect":
+            return loss_detection(logits, lab)
+        return loss_intensity(ng.sigmoid(logits), lab)
+
     reports = []
-    while run.epoch < stop:
-        order = run.streams["shuffle"].permutation(len(corpus))
-        for start in _batch_starts(len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            lr = lr_at(config, run.step, spe)
-            imgs = [to_float(corpus.images[i]) for i in idx]
-            labels = [_labels_for(corpus.manifest.records[i], task, i) for i in idx]
-            if use_aug:
-                imgs = [randaug_light(im, config.randaug_magnitude,
-                                      config.randaug_prob, run.streams["augment"])
-                        for im in imgs]
-            if task == "detect":
-                batch = np.stack(imgs)
-                want_mix = config.mixup_alpha > 0
-                want_cut = config.cutmix_alpha > 0
-                if want_mix and want_cut:
-                    if run.streams["mix"].random() < 0.5:
-                        batch, labels, _ = mixup(batch, labels,
-                                                 config.mixup_alpha,
-                                                 run.streams["mix"])
-                    else:
-                        batch, labels, _ = cutmix(batch, labels,
-                                                  config.cutmix_alpha,
-                                                  run.streams["mix"])
-                elif want_mix:
-                    batch, labels, _ = mixup(batch, labels, config.mixup_alpha,
-                                             run.streams["mix"])
-                elif want_cut:
-                    batch, labels, _ = cutmix(batch, labels, config.cutmix_alpha,
-                                              run.streams["mix"])
-                imgs = list(batch)
-                if config.label_smoothing > 0:
-                    labels = _smooth(labels, config.label_smoothing)
-            run.weights.zero_grad()
-            batch_loss = 0.0
-            for img, lab in zip(imgs, labels):
-                patches = patchify(np.asarray(img), cfg.patch_size)
-                hook = None
-                if use_branch:
-                    hook = lambda t: drop_path(t, config.drop_path_rate,
-                                               run.streams["branch"], training=True)
-                with ng.Tape() as tape:
-                    logits = classifier_forward(run.weights, patches, hook)
-                    if task == "detect":
-                        loss = loss_detection(logits, lab)
-                    else:
-                        loss = loss_intensity(ng.sigmoid(logits), lab)
-                    share = ng.scale(loss, 1.0 / len(imgs))
-                ng.backward(share, tape)
-                batch_loss += loss.item() / len(imgs)
-            if not math.isfinite(batch_loss):
-                raise NumericalError(f"non-finite loss at step {run.step}")
-            adamw_step(run.weights, run.opt, lr, config.weight_decay,
-                       beta2=config.beta2, skip=skip)
-            rows.append(TraceRow(run.opt.step - 1, run.epoch, lr, batch_loss))
-        run.epoch += 1
+
+    def after_epoch():
         if config.eval_every > 0 and run.epoch % config.eval_every == 0:
             reports.append((run.epoch, evaluate(run.weights, eval_corpus)))
-        _maybe_checkpoint(run, stop)
+
+    rows = _train(run, corpus, until_epoch, prepare, sample_loss, after_epoch)
     return rows, reports
 
 

@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line surface: exit codes, output files,
 determinism across re-runs, and resume behavior."""
 
+import binascii
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -368,6 +370,94 @@ def test_eval_corrupt_checkpoint_is_data_error(tmp_path, corpus_dir, pre_dir,
                 "--out", str(tmp_path / "x")])
     assert code == 3
     capsys.readouterr()
+
+
+def _reseal(body):
+    return body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF)
+
+
+def _rewrite_meta(raw, edit):
+    """A real container with `edit` applied to its meta JSON and its
+    checksum recomputed, so only the content is malformed."""
+    (meta_len,) = struct.unpack("<I", raw[8:12])
+    meta = json.loads(raw[12:12 + meta_len])
+    edit(meta)
+    new = json.dumps(meta, sort_keys=True).encode()
+    return _reseal(raw[:8] + struct.pack("<I", len(new)) + new
+                   + raw[12 + meta_len:-4])
+
+
+def _rewrite_first_param(raw, name_byte=None, offset=None):
+    """A real model.ckpt with its first table entry's name or offset
+    replaced and its checksum recomputed."""
+    body = bytearray(raw[:-4])
+    (meta_len,) = struct.unpack("<I", body[8:12])
+    pos = 12 + meta_len + 4  # past the meta JSON and n_params
+    (name_len,) = struct.unpack("<H", body[pos:pos + 2])
+    if name_byte is not None:
+        body[pos + 2] = name_byte
+    pos += 2 + name_len
+    pos += 1 + 4 * body[pos]  # ndim, dims
+    if offset is not None:
+        body[pos:pos + 8] = struct.pack("<Q", offset)
+    return _reseal(bytes(body))
+
+
+def _entry(meta, **fields):
+    meta["arrays"][0].update(fields)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda m: m.pop("epoch"), id="no-epoch"),
+    pytest.param(lambda m: m.pop("opt_step"), id="no-opt-step"),
+    pytest.param(lambda m: m.pop("rng"), id="no-rng"),
+    pytest.param(lambda m: m.pop("arrays"), id="no-arrays"),
+    pytest.param(lambda m: m["arrays"][0].pop("key"), id="entry-no-key"),
+    pytest.param(lambda m: m["arrays"][0].pop("shape"), id="entry-no-shape"),
+    pytest.param(lambda m: m["arrays"][0].pop("offset"), id="entry-no-offset"),
+    pytest.param(lambda m: _entry(m, offset=-4), id="negative-offset"),
+    pytest.param(lambda m: _entry(m, offset=1 << 40), id="offset-past-end"),
+    pytest.param(lambda m: m.update(epoch="1"), id="epoch-not-a-count"),
+    pytest.param(lambda m: m["rng"].update(mask={}), id="bad-rng-state"),
+    pytest.param(lambda m: m["model"].update(bogus=1), id="unknown-model-field"),
+    pytest.param(lambda m: m["model"].update(enc_heads=0), id="invalid-model-field"),
+    pytest.param(lambda m: m["train"].pop("epochs"), id="missing-train-field"),
+    pytest.param(lambda m: m["train"].update(epochs=0), id="invalid-train-field"),
+])
+def test_resume_malformed_run_state_is_data_error(tmp_path, corpus_dir, pre_dir,
+                                                  capsys, edit):
+    raw = (pre_dir / "run_state.bin").read_bytes()
+    assert _rewrite_meta(raw, lambda m: None) == raw
+    bad = tmp_path / "run_state.bin"
+    bad.write_bytes(_rewrite_meta(raw, edit))
+    code = run(["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                "--out", str(tmp_path / "x"), "--resume", str(bad)])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rewrite", [
+    pytest.param(lambda raw: _rewrite_first_param(raw, name_byte=0xFF),
+                 id="non-utf8-name"),
+    pytest.param(lambda raw: _rewrite_first_param(raw, offset=1 << 40),
+                 id="offset-past-end"),
+    pytest.param(lambda raw: _rewrite_meta(raw, lambda m: m.update(bogus=1)),
+                 id="unknown-config-field"),
+    pytest.param(lambda raw: _rewrite_meta(raw, lambda m: m.update(enc_heads=0)),
+                 id="invalid-config-field"),
+])
+def test_reconstruct_malformed_checkpoint_is_data_error(tmp_path, corpus_dir,
+                                                        pre_dir, capsys, rewrite):
+    raw = (pre_dir / "model.ckpt").read_bytes()
+    assert _rewrite_first_param(raw) == raw
+    bad = tmp_path / "model.ckpt"
+    bad.write_bytes(rewrite(raw))
+    code = run(["reconstruct", "--checkpoint", str(bad),
+                "--image", str(corpus_dir / "img_00000.pgm"),
+                "--mask-ratio", "0.75", "--seed", "0",
+                "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

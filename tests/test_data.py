@@ -1,4 +1,4 @@
-"""Data layer: image I/O, manifests, geometry, cleaning, synth corpus."""
+"""Data layer: image I/O, manifests, geometry, subsampling, synth corpus."""
 
 import math
 import os
@@ -13,7 +13,6 @@ from faceau.data import (
     ManifestError,
     SampleRecord,
     align_face,
-    clean_filter,
     crop_square,
     read_image,
     read_manifest,
@@ -294,28 +293,7 @@ def test_resize_rejects_bad_target():
 
 
 # ---------------------------------------------------------------------------
-# cleaning and subsampling
-
-
-def test_clean_filter_drops_small_and_corrupt(tmp_path):
-    ok = np.zeros((1, 64, 64), dtype=np.uint8)
-    small = np.zeros((1, 63, 100), dtype=np.uint8)
-    write_image(ok, tmp_path / "ok.pgm")
-    write_image(small, tmp_path / "small.pgm")
-    (tmp_path / "broken.pgm").write_bytes(b"P5\n64 64\n255\n\x00")
-    recs = [
-        SampleRecord(image_path="ok.pgm", subject="s", frame=0),
-        SampleRecord(image_path="small.pgm", subject="s", frame=1),
-        SampleRecord(image_path="broken.pgm", subject="s", frame=2),
-        SampleRecord(image_path="missing.pgm", subject="s", frame=3),
-    ]
-    m = Manifest(records=recs, au_names=["x"], base_dir=str(tmp_path))
-    kept, drops = clean_filter(m, min_side=64)
-    assert [r.frame for r in kept.records] == [0]
-    reasons = {r.frame: why for r, why in drops}
-    assert "low-resolution" in reasons[1]
-    assert "corrupt" in reasons[2]
-    assert "corrupt" in reasons[3]
+# subsampling
 
 
 def test_subsample_every_n_single_subject():
@@ -418,7 +396,3 @@ def test_corpus_subset_and_restrict():
     sub = corpus.subset([0, 5, 7])
     assert len(sub) == 3
     assert np.array_equal(sub.images[1], corpus.images[5])
-    narrowed = corpus.restrict_to(sub.manifest)
-    assert len(narrowed) == 3
-    assert [r.frame for r in narrowed.manifest.records] == \
-        [r.frame for r in sub.manifest.records]

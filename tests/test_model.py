@@ -1,6 +1,7 @@
 """Model layer: patch pipeline, masking, forwards, init, checkpoints."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -480,6 +481,22 @@ def test_corrupted_byte_fails_checksum(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
         load_weights(bad)
+
+
+def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_weights(init_weights(tiny_config(), np.random.default_rng(0)), path)
+    old = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before rename")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError):
+        save_weights(init_weights(tiny_config(), np.random.default_rng(1)), path)
+    assert path.read_bytes() == old
+    monkeypatch.undo()
+    load_weights(path)
 
 
 def test_encoder_bytes_tracks_encoder_params():

@@ -1,19 +1,21 @@
 """Training loops: determinism, resume, freeze, and the sparse-frames protocol."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from faceau.data import Manifest, SampleRecord
-from faceau.model import CheckpointError, encoder_bytes, preset
+from faceau.model import (CheckpointError, encoder_bytes, init_weights, preset,
+                          save_weights)
 from faceau.optim import lr_at
 from faceau.synth import synth_corpus
 from faceau.train import (PARTIAL_EPOCHS, TrainConfig, TrainError, evaluate,
                           finetune_loop, fresh_streams, load_run_state,
-                          partial_protocol, pretrain_loop, reference_base_lr,
-                          save_run_state, start_run, train_preset, write_trace)
+                          partial_protocol, pretrain_loop, save_run_state,
+                          start_run, train_preset, write_trace)
 
 
 def tiny_model(task="pretrain"):
@@ -79,16 +81,6 @@ def test_reference_presets():
     assert i.mixup_alpha == 0.0 and i.cutmix_alpha == 0.0
     with pytest.raises(TrainError):
         train_preset("linear_probe")
-
-
-def test_reference_base_lr_table():
-    assert reference_base_lr("detect", "bp4d") == 1e-4
-    assert reference_base_lr("detect", "BP4D+") == 2e-4
-    assert reference_base_lr("detect", "disfa") == 2e-4
-    assert reference_base_lr("intensity", "bp4d") == 3e-5
-    assert reference_base_lr("intensity", "disfa") == 1.5e-4
-    with pytest.raises(TrainError):
-        reference_base_lr("detect", "gft")
 
 
 def test_streams_are_seeded_and_distinct():
@@ -180,6 +172,20 @@ def test_run_state_round_trip_and_corruption(tmp_path):
     open(trunc, "wb").write(b"PK\x03\x04 not a run state")
     with pytest.raises(CheckpointError):
         load_run_state(trunc)
+
+
+def test_container_bytes_are_pinned(tmp_path):
+    # both on-disk formats at the desk preset, seed 0; a change to either
+    # wire format (header, table, JSON layout, array order) shows here
+    weights = tmp_path / "model.ckpt"
+    save_weights(init_weights(preset("desk"), np.random.default_rng(0)), weights)
+    state = tmp_path / "run_state.bin"
+    save_run_state(str(state), start_run(preset("desk"),
+                                         train_preset("pretrain", seed=0)))
+    assert hashlib.sha256(weights.read_bytes()).hexdigest() == \
+        "6d76555f6c26ade8417bada40e227dc40b9bcc5924a650be7e06da8e2a86f14f"
+    assert hashlib.sha256(state.read_bytes()).hexdigest() == \
+        "87db69ecdc46b509056bbe6d1c0ffc014f02d5a1cbb6129bf63ce3b5a02847e2"
 
 
 def test_write_trace_appends(tmp_path):
