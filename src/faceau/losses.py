@@ -114,24 +114,14 @@ def loss_pretrain(pred, targets, plan, flavor="L1", reduction="mean"):
     return ng.mean(per_elem) if reduction == "mean" else ng.sum(per_elem)
 
 
-def _bce_with_logits(logits, target):
-    # max(x,0) - x*p + log(1 + exp(-|x|)): stable for any logit magnitude
-    ax = ng.abs(logits)
-    relu_x = ng.scale(ng.add(logits, ax), 0.5)
-    linear = ng.sub(relu_x, ng.mul(logits, Tensor(target)))
-    softplus = ng.log(ng.add(ng.exp(ng.scale(ax, -1.0)), 1.0))
-    return ng.add(linear, softplus)
-
-
 def loss_detection(logits, labels):
     """Sigmoid binary cross-entropy summed over valid action units."""
     if labels.occurrence is None:
         raise LossError("detection loss needs occurrence labels")
     if logits.shape != labels.occurrence.shape:
         raise ng.ShapeError(f"logits {logits.shape} vs labels {labels.occurrence.shape}")
-    per_au = _bce_with_logits(logits, labels.occurrence)
-    weighted = ng.mul(per_au, Tensor(labels.mask.astype(np.float64)))
-    return ng.sum(weighted)
+    per_au = ng.bce_with_logits(logits, labels.occurrence)
+    return ng.sum(ng.mul(per_au, Tensor(labels.mask.astype(np.float64))))
 
 
 def loss_intensity(pred, labels):

@@ -13,12 +13,13 @@ This module also holds the one checkpoint container both file formats use:
 "MAEF" model weights (save_weights / load_weights / load_encoder_only) and
 "MAET" run state (faceau.train.save_run_state / load_run_state). One atomic
 writer, one checksum-verifying reader, and one check of the stored arrays
-against a fresh init_weights skeleton serve both.
+against the parameter layout serve both.
 """
 
 from __future__ import annotations
 
 import binascii
+import contextlib
 import dataclasses
 import json
 import math
@@ -250,14 +251,6 @@ class ModelWeights:
     def param_items(self):
         return list(self.params.items())
 
-    def clone(self):
-        copies = {
-            name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            for name, t in self.params.items()
-        }
-        return ModelWeights(self.config, copies, self.enc_pos.copy(),
-                            None if self.dec_pos is None else self.dec_pos.copy())
-
     def zero_grad(self):
         for t in self.params.values():
             t.zero_grad()
@@ -277,56 +270,72 @@ def _trunc_normal(rng, size, std):
     return out
 
 
-def _add_linear(params, rng, name, fan_in, fan_out):
-    params[f"{name}.w"] = Tensor(_xavier(rng, fan_in, fan_out), requires_grad=True)
-    params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+def param_layout(config):
+    """(name, shape, init) of every parameter in creation order, `init` one
+    of "xavier", "zeros", "ones" or "token" (the decoder's mask token). The
+    one definition of the parameter set: init_weights draws it, and the
+    checkpoint readers take names and shapes from it without drawing."""
+    layout = []
+
+    def linear(name, fan_in, fan_out):
+        layout.extend([(f"{name}.w", (fan_in, fan_out), "xavier"),
+                       (f"{name}.b", (fan_out,), "zeros")])
+
+    def norm(name, width):
+        layout.extend([(f"{name}.g", (width,), "ones"), (f"{name}.b", (width,), "zeros")])
+
+    def blocks(prefix, depth, width):
+        hidden = int(width * config.mlp_ratio)
+        for i in range(depth):
+            b = f"{prefix}.blocks.{i}"
+            norm(f"{b}.ln1", width)
+            for proj in ("q", "k", "v", "out"):
+                linear(f"{b}.attn.{proj}", width, width)
+            norm(f"{b}.ln2", width)
+            linear(f"{b}.mlp.fc1", width, hidden)
+            linear(f"{b}.mlp.fc2", hidden, width)
+
+    linear("patch_embed", config.patch_dim, config.enc_width)
+    blocks("enc", config.enc_depth, config.enc_width)
+    norm("enc.norm", config.enc_width)
+    if config.task == "pretrain":
+        linear("dec.embed", config.enc_width, config.dec_width)
+        layout.append(("dec.mask_token", (config.dec_width,), "token"))
+        blocks("dec", config.dec_depth, config.dec_width)
+        norm("dec.norm", config.dec_width)
+        linear("dec.head", config.dec_width, config.patch_dim)
+    else:
+        norm("head.norm", config.enc_width)
+        linear("head.fc", config.enc_width, config.num_aus)
+    return layout
 
 
-def _add_norm(params, name, width):
-    params[f"{name}.g"] = Tensor(np.ones(width), requires_grad=True)
-    params[f"{name}.b"] = Tensor(np.zeros(width), requires_grad=True)
+def param_shapes(config):
+    return {name: shape for name, shape, _ in param_layout(config)}
 
 
-def _add_blocks(params, rng, prefix, depth, width, mlp_ratio):
-    hidden = int(width * mlp_ratio)
-    for i in range(depth):
-        b = f"{prefix}.blocks.{i}"
-        _add_norm(params, f"{b}.ln1", width)
-        for proj in ("q", "k", "v", "out"):
-            _add_linear(params, rng, f"{b}.attn.{proj}", width, width)
-        _add_norm(params, f"{b}.ln2", width)
-        _add_linear(params, rng, f"{b}.mlp.fc1", width, hidden)
-        _add_linear(params, rng, f"{b}.mlp.fc2", hidden, width)
+def build_weights(config, arrays):
+    """ModelWeights over `arrays`, (name, array) pairs in layout order, with
+    the positional tables recomputed from the config."""
+    params = {name: Tensor(arr, requires_grad=True) for name, arr in arrays}
+    def table(width):
+        return pos_embed_sincos(config.num_patches, width).astype(ng.default_dtype())
+
+    dec_pos = table(config.dec_width) if config.task == "pretrain" else None
+    return ModelWeights(config, params, enc_pos=table(config.enc_width), dec_pos=dec_pos)
 
 
 def init_weights(config, rng):
-    """Fresh weights: Xavier-uniform linears, zero biases, unit norms.
+    """Fresh weights: Xavier-uniform linears, zero biases, unit norms and a
+    truncated-normal mask token.
 
-    Parameter creation order is fixed, so a given rng state yields
+    Parameters are drawn in layout order, so a given rng state yields
     bit-identical weights.
     """
-    params = {}
-    _add_linear(params, rng, "patch_embed", config.patch_dim, config.enc_width)
-    _add_blocks(params, rng, "enc", config.enc_depth, config.enc_width, config.mlp_ratio)
-    _add_norm(params, "enc.norm", config.enc_width)
-
-    dec_pos = None
-    if config.task == "pretrain":
-        _add_linear(params, rng, "dec.embed", config.enc_width, config.dec_width)
-        params["dec.mask_token"] = Tensor(
-            _trunc_normal(rng, config.dec_width, 0.02), requires_grad=True)
-        _add_blocks(params, rng, "dec", config.dec_depth, config.dec_width, config.mlp_ratio)
-        _add_norm(params, "dec.norm", config.dec_width)
-        _add_linear(params, rng, "dec.head", config.dec_width, config.patch_dim)
-        dec_pos = pos_embed_sincos(config.num_patches, config.dec_width).astype(
-            ng.default_dtype())
-    else:
-        _add_norm(params, "head.norm", config.enc_width)
-        _add_linear(params, rng, "head.fc", config.enc_width, config.num_aus)
-
-    enc_pos = pos_embed_sincos(config.num_patches, config.enc_width).astype(
-        ng.default_dtype())
-    return ModelWeights(config=config, params=params, enc_pos=enc_pos, dec_pos=dec_pos)
+    draw = {"xavier": lambda shape: _xavier(rng, *shape), "zeros": np.zeros,
+            "ones": np.ones, "token": lambda shape: _trunc_normal(rng, shape, 0.02)}
+    return build_weights(config, ((name, draw[init](shape))
+                                  for name, shape, init in param_layout(config)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +343,7 @@ def init_weights(config, rng):
 
 
 def _linear(x, params, name):
-    return ng.add(ng.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+    return ng.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _norm(x, params, name):
@@ -342,17 +351,8 @@ def _norm(x, params, name):
 
 
 def _attention(x, params, prefix, heads):
-    t, d = x.shape
-    dh = d // heads
-    q = _linear(x, params, f"{prefix}.q")
-    k = _linear(x, params, f"{prefix}.k")
-    v = _linear(x, params, f"{prefix}.v")
-    qh = ng.transpose(ng.reshape(q, (t, heads, dh)), (1, 0, 2))
-    kh = ng.transpose(ng.reshape(k, (t, heads, dh)), (1, 0, 2))
-    vh = ng.transpose(ng.reshape(v, (t, heads, dh)), (1, 0, 2))
-    att = ng.softmax(ng.scale(ng.bmm(qh, ng.transpose(kh, (0, 2, 1))), 1.0 / math.sqrt(dh)))
-    ctx = ng.reshape(ng.transpose(ng.bmm(att, vh), (1, 0, 2)), (t, d))
-    return _linear(ctx, params, f"{prefix}.out")
+    return ng.attention(x, *(params[f"{prefix}.{proj}.{kind}"]
+                             for proj in ("q", "k", "v", "out") for kind in "wb"), heads)
 
 
 def _mlp(x, params, prefix):
@@ -361,16 +361,11 @@ def _mlp(x, params, prefix):
 
 def _blocks(x, params, prefix, depth, heads, branch_hook=None):
     # pre-norm blocks; branch_hook wraps each residual branch (drop path)
+    hook = branch_hook or (lambda branch: branch)
     for i in range(depth):
         b = f"{prefix}.blocks.{i}"
-        a = _attention(_norm(x, params, f"{b}.ln1"), params, f"{b}.attn", heads)
-        if branch_hook is not None:
-            a = branch_hook(a)
-        x = ng.add(x, a)
-        m = _mlp(_norm(x, params, f"{b}.ln2"), params, f"{b}.mlp")
-        if branch_hook is not None:
-            m = branch_hook(m)
-        x = ng.add(x, m)
+        x = ng.add(x, hook(_attention(_norm(x, params, f"{b}.ln1"), params, f"{b}.attn", heads)))
+        x = ng.add(x, hook(_mlp(_norm(x, params, f"{b}.ln2"), params, f"{b}.mlp")))
     return x
 
 
@@ -391,7 +386,8 @@ def encoder_forward(weights, patches, plan, branch_hook=None):
         raise ShapeError(f"plan covers {plan.num_tokens} tokens, model has {cfg.num_patches}")
     x = _linear(patches, weights.params, "patch_embed")
     x = ng.add(x, Tensor(weights.enc_pos))
-    x = ng.index_select(x, plan.visible_idx)
+    if not np.array_equal(plan.visible_idx, np.arange(cfg.num_patches)):
+        x = ng.index_select(x, plan.visible_idx)  # the full plan keeps every row in order
     x = _blocks(x, weights.params, "enc", cfg.enc_depth, cfg.enc_heads, branch_hook)
     return _norm(x, weights.params, "enc.norm")
 
@@ -406,11 +402,7 @@ def decoder_forward(weights, latent, plan):
             f"latent shape {latent.shape} != ({plan.num_visible}, {cfg.enc_width})")
     params = weights.params
     x = _linear(latent, params, "dec.embed")
-    n_masked = plan.num_tokens - plan.num_visible
-    if n_masked > 0:
-        tokens = ng.broadcast_rows(params["dec.mask_token"], n_masked)
-        x = ng.concat_rows([x, tokens])
-    x = ng.index_select(x, plan.restore_order)
+    x = ng.scatter_rows(x, params["dec.mask_token"], plan.visible_idx, plan.num_tokens)
     x = ng.add(x, Tensor(weights.dec_pos))
     x = _blocks(x, params, "dec", cfg.dec_depth, cfg.dec_heads)
     x = _norm(x, params, "dec.norm")
@@ -425,9 +417,7 @@ def classifier_forward(weights, patches, branch_hook=None):
     latent = encoder_forward(weights, patches, full_plan(cfg.num_patches), branch_hook)
     pooled = ng.mean(latent, axis=0)
     pooled = _norm(pooled, weights.params, "head.norm")
-    out = ng.matmul(ng.reshape(pooled, (1, cfg.enc_width)), weights.params["head.fc.w"])
-    out = ng.add(ng.reshape(out, (cfg.num_aus,)), weights.params["head.fc.b"])
-    return out
+    return _linear(pooled, weights.params, "head.fc")
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +466,14 @@ def write_container(path, magic, meta, arrays):
     body = (magic + struct.pack("<II", _VERSION, len(meta_json)) + meta_json
             + binary_table + struct.pack("<Q", len(blob)) + blob)
     tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:
@@ -544,8 +539,8 @@ def read_container(path, magic, decode):
 
 
 def match_arrays(arrays, expected, allow_extra=False):
-    """Check file arrays against `expected` {key: shape}, read off a fresh
-    init_weights skeleton; returns the expected arrays in the default dtype.
+    """Check file arrays against `expected` {key: shape}, read off the
+    parameter layout; returns the expected arrays in the default dtype.
     Fails whole, naming every missing, unexpected or mis-shaped key."""
     problems = [f"{key}: missing" for key in expected if key not in arrays]
     problems += [f"{key}: file {arrays[key].shape} vs model {shape}"
@@ -555,7 +550,7 @@ def match_arrays(arrays, expected, allow_extra=False):
         problems += [f"{key}: unexpected" for key in arrays if key not in expected]
     if problems:
         raise CheckpointError("parameter mismatch; " + "; ".join(problems))
-    return {key: arrays[key].astype(ng.default_dtype()) for key in expected}
+    return {key: arrays[key].astype(ng.default_dtype(), copy=False) for key in expected}
 
 
 def save_weights(weights, path):
@@ -566,12 +561,8 @@ def save_weights(weights, path):
 def load_weights(path):
     """Full checkpoint -> ModelWeights; fails whole, never partially."""
     def decode(meta, arrays):
-        # fresh skeleton gives canonical ordering and expected shapes
-        weights = init_weights(ModelConfig(**meta), np.random.default_rng(0))
-        loaded = match_arrays(arrays, {n: t.shape for n, t in weights.params.items()})
-        for name, t in weights.params.items():
-            t.data = loaded[name]
-        return weights
+        config = ModelConfig(**meta)
+        return build_weights(config, match_arrays(arrays, param_shapes(config)).items())
     return read_container(path, WEIGHTS_MAGIC, decode)
 
 
@@ -580,7 +571,7 @@ def load_encoder_only(path, config, rng):
     def decode(meta, arrays):
         ModelConfig(**meta)  # the file's own config must be valid too
         weights = init_weights(config, rng)
-        encoder = {n: t.shape for n, t in weights.params.items()
+        encoder = {n: shape for n, shape in param_shapes(config).items()
                    if n.startswith(ENCODER_PREFIXES)}
         for name, arr in match_arrays(arrays, encoder, allow_extra=True).items():
             weights.params[name].data = arr

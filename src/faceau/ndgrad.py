@@ -3,7 +3,11 @@
 A small reverse-mode engine on top of dense row-major numpy arrays. It
 implements exactly the kernels the transformer model needs (matmul, a few
 elementwise maps, reductions, layer norm, softmax, row gather) plus a tape
-that records operations and replays them backwards.
+that records operations and replays them backwards. The model's hot paths
+are fused ops, one tape node each with a hand-written backward: `linear`
+(matmul + bias), multi-head `attention` (q/k/v projections through the
+output projection), `gelu`, `bce_with_logits` and `scatter_rows` (visible
+rows plus the shared mask token in restore order).
 
 Broadcasting is deliberately restricted: binary elementwise ops accept equal
 shapes, a scalar operand, or a smaller right operand whose shape matches the
@@ -104,19 +108,10 @@ class Tensor:
         if self.grad is None:
             self.grad = np.array(g, dtype=self.data.dtype)
         else:
-            self.grad = self.grad + g
+            self.grad += g  # in place: the buffer is this tensor's own copy
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
 
 def tensor(data, requires_grad=False):
@@ -145,11 +140,13 @@ class Tape:
     _out_ids: set = field(default_factory=set)
 
     def __enter__(self):
-        _push_tape(self)
+        _tape_stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _pop_tape(self)
+        if not _tape_stack or _tape_stack[-1] is not self:
+            raise RuntimeError("tape stack corrupted: exiting a tape that is not innermost")
+        _tape_stack.pop()
         return False
 
     def record(self, out, inputs, backward, name):
@@ -160,26 +157,6 @@ class Tape:
 _tape_stack: list = []
 
 
-def _push_tape(t):
-    _tape_stack.append(t)
-
-
-def _pop_tape(t):
-    if not _tape_stack or _tape_stack[-1] is not t:
-        raise RuntimeError("tape stack corrupted: exiting a tape that is not innermost")
-    _tape_stack.pop()
-
-
-def _active_tape():
-    return _tape_stack[-1] if _tape_stack else None
-
-
-def _record(out, inputs, backward, name):
-    tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        tape.record(out, inputs, backward, name)
-
-
 def _result(arr, inputs, backward, name):
     out = Tensor.__new__(Tensor)
     out.data = arr
@@ -187,7 +164,8 @@ def _result(arr, inputs, backward, name):
     out.grad = None
     if _debug and not np.isfinite(arr).all():
         raise DomainError(f"{name} produced non-finite values")
-    _record(out, inputs, backward, name)
+    if _tape_stack and out.requires_grad:
+        _tape_stack[-1].record(out, inputs, backward, name)
     return out
 
 
@@ -305,29 +283,28 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x):
-    """Exact (erf-form) GELU."""
+    """Exact (erf-form) GELU; backward reuses the forward's normal cdf."""
+    x = _as_tensor(x)
+    v = x.data
+    cdf = 0.5 * (1.0 + _erf(v * _INV_SQRT2))
 
-    def fwd(v):
-        return 0.5 * v * (1.0 + _erf(v * _INV_SQRT2))
+    def back(g):
+        return (g * (cdf + v * np.exp(-0.5 * v * v) * _INV_SQRT_2PI),)
 
-    def dfn(g, v, y):
-        cdf = 0.5 * (1.0 + _erf(v * _INV_SQRT2))
-        pdf = np.exp(-0.5 * v * v) * _INV_SQRT_2PI
-        return g * (cdf + v * pdf)
+    return _result(v * cdf, (x,), back, "gelu")
 
-    return _unary(x, fwd, dfn, "gelu")
+
+def _sigmoid(v):
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
 
 
 def sigmoid(x):
-    def fwd(v):
-        out = np.empty_like(v)
-        pos = v >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-        ev = np.exp(v[~pos])
-        out[~pos] = ev / (1.0 + ev)
-        return out
-
-    return _unary(x, fwd, lambda g, v, y: g * y * (1.0 - y), "sigmoid")
+    return _unary(x, _sigmoid, lambda g, v, y: g * y * (1.0 - y), "sigmoid")
 
 
 def exp(x):
@@ -359,35 +336,28 @@ def _check_axis(x, axis):
         raise ShapeError(f"axis {axis} out of range for rank {x.ndim}")
 
 
-def sum(x, axis=None):  # noqa: A001
-    x = _as_tensor(x)
-    _check_axis(x, axis)
-    arr = np.asarray(x.data.sum(axis=axis))
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-
-    def back(g):
-        if axis is None:
-            return (np.broadcast_to(g.reshape(()), x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
-
-    return _result(arr, (x,), back, "sum")
-
-
-def mean(x, axis=None):
+def _reduce(x, axis, mean):
     x = _as_tensor(x)
     _check_axis(x, axis)
     n = x.size if axis is None else x.shape[axis]
-    arr = np.asarray(x.data.mean(axis=axis))
+    arr = np.asarray(x.data.mean(axis=axis) if mean else x.data.sum(axis=axis))
     if arr.ndim == 0:
         arr = arr.reshape(1)
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g.reshape(()), x.shape).copy() / n,)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy() / n,)
+        spread = np.broadcast_to(g.reshape(()) if axis is None else np.expand_dims(g, axis),
+                                 x.shape).copy()
+        return (spread / n if mean else spread,)
 
-    return _result(arr, (x,), back, "mean")
+    return _result(arr, (x,), back, "mean" if mean else "sum")
+
+
+def sum(x, axis=None):  # noqa: A001
+    return _reduce(x, axis, mean=False)
+
+
+def mean(x, axis=None):
+    return _reduce(x, axis, mean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +379,98 @@ def matmul(a, b):
     return _result(arr, (a, b), back, "matmul")
 
 
-def bmm(a, b):
-    """Batched matmul over a shared leading axis: [B,m,k] x [B,k,n]."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm: incompatible shapes {a.shape} x {b.shape}")
-    arr = a.data @ b.data
+def linear(x, w, b):
+    """x @ w + b for x of shape [k] or [n, k], w [k, m], b [m]."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim > 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
+    arr = x.data @ w.data + b.data
 
     def back(g):
-        ga = g @ b.data.swapaxes(-1, -2) if a.requires_grad else None
-        gb = a.data.swapaxes(-1, -2) @ g if b.requires_grad else None
-        return ga, gb
+        g2 = g.reshape(-1, w.shape[1])
+        gx = g @ w.data.T if x.requires_grad else None
+        gw = x.data.reshape(-1, w.shape[0]).T @ g2 if w.requires_grad else None
+        return gx, gw, g2.sum(axis=0) if b.requires_grad else None
 
-    return _result(arr, (a, b), back, "bmm")
+    return _result(arr, (x, w, b), back, "linear")
+
+
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+    """Multi-head self-attention of x [T, D] through its output projection.
+
+    One node owns softmax(Q Kᵀ / sqrt(dh)) V and its backward: the q/k/v
+    projections run as one [D, 3D] matmul, heads are strided views of its
+    result (no transposed copies), and backward keeps only q/k/v, the
+    probabilities and the context.
+    """
+    x = _as_tensor(x)
+    params = tuple(_as_tensor(p) for p in (wq, bq, wk, bk, wv, bv, wo, bo))
+    if x.ndim != 2 or heads < 1 or x.shape[1] % heads:
+        raise ShapeError(f"attention: cannot split {x.shape} into {heads} heads")
+    t, d = x.shape
+    dh = d // heads
+    for p, want in zip(params, [(d, d), (d,)] * 4):
+        if p.shape != want:
+            raise ShapeError(f"attention: parameter shape {p.shape}, expected {want}")
+    wq, bq, wk, bk, wv, bv, wo, bo = (p.data for p in params)
+    scale = 1.0 / math.sqrt(dh)
+    qkv = x.data @ np.concatenate([wq, wk, wv], axis=1) + np.concatenate([bq, bk, bv])
+    q, k, v = qkv.reshape(t, 3, heads, dh).transpose(1, 2, 0, 3)  # each [H, T, dh]
+    p = (q @ k.transpose(0, 2, 1)) * scale
+    p = np.exp(p - p.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = (p @ v).transpose(1, 0, 2).reshape(t, d)
+
+    def back(g):
+        gctx = (g @ wo.T).reshape(t, heads, dh).transpose(1, 0, 2)
+        gp = gctx @ v.transpose(0, 2, 1)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs *= scale
+        gqkv = np.empty_like(qkv)
+        gq, gk, gv = gqkv.reshape(t, 3, heads, dh).transpose(1, 2, 0, 3)
+        gq[...] = gs @ k
+        gk[...] = gs.transpose(0, 2, 1) @ q
+        gv[...] = p.transpose(0, 2, 1) @ gctx
+        gw, gb = x.data.T @ gqkv, gqkv.sum(axis=0)
+        gx = gqkv[:, :d] @ wq.T + gqkv[:, d:2 * d] @ wk.T + gqkv[:, 2 * d:] @ wv.T
+        return (gx, gw[:, :d], gb[:d], gw[:, d:2 * d], gb[d:2 * d], gw[:, 2 * d:], gb[2 * d:],
+                ctx.T @ g, g.sum(axis=0))
+
+    return _result(ctx @ wo + bo, (x,) + params, back, "attention")
+
+
+def bce_with_logits(logits, target):
+    """Elementwise sigmoid cross-entropy of logits against constant targets,
+    max(x, 0) - x*t + log(1 + exp(-|x|)): finite for any logit magnitude."""
+    x = _as_tensor(logits)
+    v = x.data
+    t = np.asarray(target, dtype=v.dtype)
+    if t.shape != x.shape:
+        raise ShapeError(f"bce_with_logits: logits {x.shape} vs targets {t.shape}")
+    arr = np.maximum(v, 0.0) - v * t + np.log1p(np.exp(-np.abs(v)))
+    return _result(arr, (x,), lambda g: (g * (_sigmoid(v) - t),), "bce_with_logits")
+
+
+def scatter_rows(x, fill, rows, n):
+    """[n, D] tensor holding x's rows at the distinct positions `rows` and
+    the vector `fill` in every other row (the decoder's mask tokens)."""
+    x, fill = _as_tensor(x), _as_tensor(fill)
+    rows = np.asarray(rows, dtype=np.int64)
+    if x.ndim != 2 or fill.shape != x.shape[1:] or rows.shape != x.shape[:1]:
+        raise ShapeError(f"scatter_rows: rows {rows.shape} of {x.shape} with fill "
+                         f"{fill.shape} into {n} rows")
+    if rows.size and (rows.min() < 0 or rows.max() >= n or np.unique(rows).size < rows.size):
+        raise IndexError(f"scatter_rows: row indices must be distinct and in [0, {n})")
+    others = np.ones(n, dtype=bool)
+    others[rows] = False
+    arr = np.empty((n, x.shape[1]), dtype=np.result_type(x.data, fill.data))
+    arr[rows] = x.data
+    arr[others] = fill.data
+
+    def back(g):
+        return g[rows], g[others].sum(axis=0) if others.any() else None
+
+    return _result(arr, (x, fill), back, "scatter_rows")
 
 
 def reshape(x, shape):
@@ -432,46 +480,6 @@ def reshape(x, shape):
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     arr = x.data.reshape(shape)
     return _result(arr, (x,), lambda g: (g.reshape(x.shape),), "reshape")
-
-
-def transpose(x, axes):
-    x = _as_tensor(x)
-    axes = tuple(axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"transpose: axes {axes} are not a permutation of rank {x.ndim}")
-    inv = tuple(np.argsort(axes))
-    arr = np.ascontiguousarray(x.data.transpose(axes))
-    return _result(arr, (x,), lambda g: (np.ascontiguousarray(g.transpose(inv)),), "transpose")
-
-
-def concat_rows(parts):
-    """Concatenate 2-D tensors along axis 0."""
-    parts = [_as_tensor(p) for p in parts]
-    width = parts[0].shape[-1]
-    for p in parts:
-        if p.ndim != 2 or p.shape[-1] != width:
-            raise ShapeError(f"concat_rows: inconsistent shapes {[p.shape for p in parts]}")
-    arr = np.concatenate([p.data for p in parts], axis=0)
-    counts = [p.shape[0] for p in parts]
-
-    def back(g):
-        outs = []
-        start = 0
-        for p, n in zip(parts, counts):
-            outs.append(g[start:start + n] if p.requires_grad else None)
-            start += n
-        return tuple(outs)
-
-    return _result(arr, tuple(parts), back, "concat_rows")
-
-
-def broadcast_rows(v, n):
-    """Tile a length-D vector into an [n, D] matrix; grads sum back."""
-    v = _as_tensor(v)
-    if v.ndim != 1:
-        raise ShapeError(f"broadcast_rows expects a vector, got shape {v.shape}")
-    arr = np.broadcast_to(v.data, (int(n), v.shape[0])).copy()
-    return _result(arr, (v,), lambda g: (g.sum(axis=0),), "broadcast_rows")
 
 
 def index_select(x, idx):
@@ -493,6 +501,11 @@ def index_select(x, idx):
     return _result(arr, (x,), back, "index_select")
 
 
+def _row_mean(a):
+    # a.mean(axis=-1, keepdims=True), bit for bit, without numpy's Python-level wrapper
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
 def layer_norm(x, gamma, beta, eps=1e-6):
     """Normalize over the last axis, then scale/shift."""
     x = _as_tensor(x)
@@ -503,10 +516,9 @@ def layer_norm(x, gamma, beta, eps=1e-6):
         raise ShapeError(f"layer_norm: gamma/beta must have shape ({d},), got {gamma.shape}/{beta.shape}")
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xc = x.data - _row_mean(x.data)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + eps)
+    xhat = xc * inv
     arr = xhat * gamma.data + beta.data
 
     def back(g):
@@ -515,9 +527,7 @@ def layer_norm(x, gamma, beta, eps=1e-6):
         gx = None
         if x.requires_grad:
             dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            gx = (dxhat - m1 - xhat * m2) * inv
+            gx = (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat)) * inv
         return gx, gg, gb
 
     return _result(arr, (x, gamma, beta), back, "layer_norm")

@@ -28,10 +28,10 @@ from .losses import (AULabels, denormalize_intensity, loss_detection,
                      loss_intensity, loss_pretrain, patch_normalize, raw_targets)
 from .metrics import f1_scores, intensity_report
 from .model import (ENCODER_PREFIXES, RUN_STATE_MAGIC, CheckpointError,
-                    ModelConfig, ModelWeights, classifier_forward,
+                    ModelConfig, ModelWeights, build_weights, classifier_forward,
                     decoder_forward, encoder_forward, init_weights,
-                    load_encoder_only, match_arrays, patchify, read_container,
-                    sample_mask, write_container)
+                    load_encoder_only, match_arrays, param_shapes, patchify,
+                    read_container, sample_mask, write_container)
 from .optim import NumericalError, OptimState, adamw_step, init_optim, lr_at
 
 
@@ -245,15 +245,13 @@ def load_run_state(path):
         epoch, step = meta["epoch"], meta["opt_step"]
         if not all(type(n) is int and n >= 0 for n in (epoch, step)):
             raise CheckpointError(f"{path}: epoch and opt_step must be counts")
-        skeleton = init_weights(model_config, np.random.default_rng(0))
-        loaded = match_arrays(arrays, {f"{tag}:{name}": t.shape for tag in "wmv"
-                                       for name, t in skeleton.params.items()})
-        opt = OptimState(step=step)
-        for name, t in skeleton.params.items():
-            t.data = loaded[f"w:{name}"]
-            opt.m[name] = loaded[f"m:{name}"]
-            opt.v[name] = loaded[f"v:{name}"]
-        return RunState(weights=skeleton, opt=opt, config=config,
+        shapes = param_shapes(model_config)
+        loaded = match_arrays(arrays, {f"{tag}:{name}": shape for tag in "wmv"
+                                       for name, shape in shapes.items()})
+        weights = build_weights(model_config, ((name, loaded[f"w:{name}"]) for name in shapes))
+        opt = OptimState(m={name: loaded[f"m:{name}"] for name in shapes},
+                         v={name: loaded[f"v:{name}"] for name in shapes}, step=step)
+        return RunState(weights=weights, opt=opt, config=config,
                         streams=_restore_streams(meta["rng"]), epoch=epoch)
     return read_container(path, RUN_STATE_MAGIC, decode)
 

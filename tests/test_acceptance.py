@@ -60,9 +60,10 @@ def _op_cases(rng):
     signed = ng.tensor((rng.random((3, 4)) + 0.2) * rng.choice([-1.0, 1.0], (3, 4)))
     m1 = ng.tensor(rng.standard_normal((3, 4)))
     m2 = ng.tensor(rng.standard_normal((4, 5)))
-    b1 = ng.tensor(rng.standard_normal((2, 3, 4)))
-    b2 = ng.tensor(rng.standard_normal((2, 4, 5)))
-    vec = ng.tensor(rng.standard_normal(4))
+    lin_b = ng.tensor(rng.standard_normal(5))
+    att = [ng.tensor(rng.standard_normal(shape)) for _ in range(4) for shape in ((4, 4), (4,))]
+    att_w = np.asarray(rng.standard_normal((3, 4)))
+    bce_t = np.asarray(rng.random((3, 4)))
     gamma = ng.tensor(rng.random(4) + 0.5)
     beta = ng.tensor(rng.standard_normal(4))
     soft_w = np.asarray(rng.standard_normal((3, 4)))
@@ -85,11 +86,13 @@ def _op_cases(rng):
         ("mean_all", lambda x: ng.mean(ng.square(x)), [a]),
         ("mean_axis", lambda x: ng.sum(ng.square(ng.mean(x, axis=0))), [a]),
         ("matmul", lambda x, y: ng.sum(ng.square(ng.matmul(x, y))), [m1, m2]),
-        ("bmm", lambda x, y: ng.sum(ng.square(ng.bmm(x, y))), [b1, b2]),
+        ("linear", lambda x, w, bb: ng.sum(ng.square(ng.linear(x, w, bb))), [m1, m2, lin_b]),
+        ("attention", lambda x, *p: ng.sum(ng.mul(ng.attention(x, *p, 2), ng.tensor(att_w))),
+         [a] + att),
+        ("bce_with_logits", lambda x: ng.sum(ng.bce_with_logits(x, bce_t)), [a]),
+        ("scatter_rows", lambda x, v: ng.sum(ng.square(ng.scatter_rows(x, v, idx, 5))),
+         [a, row]),
         ("reshape", lambda x: ng.sum(ng.square(ng.reshape(x, (6, 2)))), [a]),
-        ("transpose", lambda x: ng.sum(ng.square(ng.transpose(x, (1, 0)))), [a]),
-        ("concat_rows", lambda x, y: ng.sum(ng.square(ng.concat_rows([x, y]))), [a, b]),
-        ("broadcast_rows", lambda v: ng.sum(ng.square(ng.broadcast_rows(v, 5))), [vec]),
         ("index_select", lambda x: ng.sum(ng.square(ng.index_select(x, idx))), [a]),
         ("layer_norm", lambda x, g, bb: ng.sum(ng.square(ng.layer_norm(x, g, bb))),
          [a, gamma, beta]),

@@ -8,6 +8,7 @@ import pytest
 
 from faceau import model as mdl
 from faceau import ndgrad as ng
+from faceau.losses import AULabels, loss_detection, loss_pretrain, patch_normalize
 from faceau.model import (
     CheckpointError,
     ConfigError,
@@ -495,8 +496,49 @@ def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         save_weights(init_weights(tiny_config(), np.random.default_rng(1)), path)
     assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
     monkeypatch.undo()
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:10])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(mdl, "open", lambda *a: FullDisk(open(*a)), raising=False)
+    with pytest.raises(OSError):
+        save_weights(init_weights(tiny_config(), np.random.default_rng(1)), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
     load_weights(path)
+
+
+def test_desk_sample_tape_sizes():
+    # one training sample as the training loop records it: forward, loss
+    # and the sample's share of the batch mean, on fused ops
+    rng = np.random.default_rng(0)
+    patches = patchify(rng.random((1, 32, 32)), 4)
+    cfg = preset("desk", task="pretrain")
+    w = init_weights(cfg, rng)
+    plan = sample_mask(cfg.num_patches, cfg.mask_ratio, rng)
+    with Tape() as tape:
+        pred = decoder_forward(w, encoder_forward(w, patches, plan), plan)
+        ng.scale(loss_pretrain(pred, patch_normalize(patches), plan), 1.0 / 16)
+    assert len(tape.nodes) <= 66
+    w = init_weights(preset("desk", task="detect"), rng)
+    with Tape() as tape:
+        labels = AULabels(occurrence=np.array([1, 0, 1, 0]))
+        ng.scale(loss_detection(classifier_forward(w, patches), labels), 1.0 / 16)
+    assert len(tape.nodes) <= 50
 
 
 def test_encoder_bytes_tracks_encoder_params():

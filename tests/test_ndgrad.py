@@ -51,16 +51,6 @@ def test_matmul_rejects_bad_shapes():
     assert "(2, 3)" in msg and "(4, 2)" in msg
 
 
-def test_bmm_matches_per_slice_matmul():
-    rng = np.random.default_rng(3)
-    with ng.precision("float64"):
-        a = rng.standard_normal((3, 4, 5))
-        b = rng.standard_normal((3, 5, 2))
-        got = ng.bmm(Tensor(a), Tensor(b)).data
-    for i in range(3):
-        assert np.allclose(got[i], matmul_loops(a[i], b[i]), atol=1e-12)
-
-
 def test_sigmoid_forward_matches_scalar_formula():
     xs = np.array([-30.0, -2.0, -0.5, 0.0, 0.5, 2.0, 30.0])
     with ng.precision("float64"):
@@ -268,46 +258,19 @@ def test_reductions_over_axis():
         ng.sum(x, axis=2)
 
 
-def test_reshape_transpose_roundtrip_grads():
+def test_reshape_roundtrip_grads():
     rng = np.random.default_rng(21)
     with ng.precision("float64"):
         x = Tensor(rng.standard_normal((2, 3, 4)))
 
         def f(x):
-            y = ng.transpose(x, (1, 0, 2))
-            z = ng.reshape(y, (3, 8))
+            z = ng.reshape(x, (3, 8))
             return ng.sum(ng.square(z))
 
         report = grad_check(f, x, tol=1e-4)
     assert report.passed
     with pytest.raises(ShapeError):
         ng.reshape(Tensor(np.zeros((2, 3))), (4, 2))
-    with pytest.raises(ShapeError):
-        ng.transpose(Tensor(np.zeros((2, 3))), (0, 0))
-
-
-def test_concat_rows_splits_gradient():
-    with ng.precision("float64"):
-        a = Tensor(np.ones((2, 3)), requires_grad=True)
-        b = Tensor(2 * np.ones((4, 3)), requires_grad=True)
-        with Tape() as tape:
-            y = ng.concat_rows([a, b])
-            loss = ng.sum(ng.mul(y, y))
-        backward(loss, tape)
-    assert y.shape == (6, 3)
-    assert np.allclose(a.grad, 2.0 * a.data)
-    assert np.allclose(b.grad, 2.0 * b.data)
-
-
-def test_broadcast_rows_tile_and_sum_back():
-    with ng.precision("float64"):
-        v = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        with Tape() as tape:
-            m = ng.broadcast_rows(v, 5)
-            loss = ng.sum(m)
-        backward(loss, tape)
-    assert m.shape == (5, 2)
-    assert np.allclose(v.grad, [5.0, 5.0])
 
 
 def test_default_dtype_is_float32_and_precision_context_switches():
@@ -339,3 +302,150 @@ def test_grad_check_report_fields():
     assert r.passed
     r2 = GradCheckReport(max_rel_error=5e-4, tol=1e-4, per_input=[5e-4])
     assert not r2.passed
+
+
+# ---------------------------------------------------------------------------
+# fused ops
+
+
+def _attention_reference(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+    # plain per-head loop: project, slice a head, softmax(q kT / sqrt(dh)) v
+    q, k, v = x @ wq + bq, x @ wk + bk, x @ wv + bv
+    dh = x.shape[1] // heads
+    ctx = np.zeros_like(q)
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[:, cols] @ k[:, cols].T / math.sqrt(dh)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        ctx[:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[:, cols]
+    return ctx @ wo + bo
+
+
+def _attention_inputs(rng, t, d):
+    x = Tensor(rng.standard_normal((t, d)))
+    params = [Tensor(rng.standard_normal(shape) * 0.4) for _ in range(4)
+              for shape in ((d, d), (d,))]
+    return x, params
+
+
+def test_attention_matches_per_head_reference():
+    rng = np.random.default_rng(31)
+    with ng.precision("float64"):
+        x, params = _attention_inputs(rng, 5, 12)  # 3 heads of width 4, 5 tokens
+        got = ng.attention(x, *params, 3).data
+    want = _attention_reference(x.data, *(p.data for p in params), 3)
+    assert got.shape == (5, 12)
+    assert np.allclose(got, want, atol=1e-12)
+
+
+def test_attention_float32_by_default_and_rejects_bad_shapes():
+    x, params = _attention_inputs(np.random.default_rng(1), 3, 8)
+    assert ng.attention(x, *params, 2).data.dtype == np.float32
+    with pytest.raises(ShapeError):
+        ng.attention(x, *params, 3)  # 8 is not divisible by 3
+    with pytest.raises(ShapeError):
+        ng.attention(x, *params[:6], params[6], Tensor(np.zeros(7)), 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grad_check_attention(seed):
+    rng = np.random.default_rng(300 + seed)
+    with ng.precision("float64"):
+        x, params = _attention_inputs(rng, 5, 12)
+        w = Tensor(rng.standard_normal((5, 12)))
+
+        def f(x, *params):
+            return ng.sum(ng.mul(ng.attention(x, *params, 3), w))
+
+        report = grad_check(f, [x] + params, tol=1e-4, rng=rng)
+    assert report.passed, f"max rel error {report.max_rel_error}"
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3,)])
+def test_grad_check_linear(shape):
+    rng = np.random.default_rng(41)
+    with ng.precision("float64"):
+        x = Tensor(rng.standard_normal(shape))
+        w = Tensor(rng.standard_normal((3, 5)))
+        b = Tensor(rng.standard_normal(5))
+        want = x.data @ w.data + b.data
+        assert np.allclose(ng.linear(x, w, b).data, want, atol=1e-12)
+
+        def f(x, w, b):
+            return ng.sum(ng.square(ng.linear(x, w, b)))
+
+        report = grad_check(f, [x, w, b], tol=1e-4)
+    assert report.passed, f"max rel error {report.max_rel_error}"
+    with pytest.raises(ShapeError):
+        ng.linear(Tensor(np.zeros((2, 4))), w, b)
+
+
+def test_grad_check_gelu():
+    rng = np.random.default_rng(51)
+    with ng.precision("float64"):
+        x = Tensor(rng.standard_normal((3, 4)) * 2.0)
+        report = grad_check(lambda x: ng.sum(ng.mul(ng.gelu(x), x)), x, tol=1e-4)
+    assert report.passed, f"max rel error {report.max_rel_error}"
+
+
+def _bce_chain(x, t):
+    # the unfused formula the fused op replaced, in numpy
+    ax = np.abs(x)
+    return 0.5 * (x + ax) - x * t + np.log(np.exp(-ax) + 1.0)
+
+
+def test_bce_with_logits_finite_and_matches_chain_formula():
+    x = np.array([0.0, 1e4, -1e4, 0.0, 1e4, -1e4, 2.5, -0.3])
+    t = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.25, 0.9])
+    with ng.precision("float64"):
+        got = ng.bce_with_logits(Tensor(x), t).data
+    assert np.isfinite(got).all()
+    assert np.allclose(got, _bce_chain(x, t), rtol=1e-12, atol=1e-12)
+    assert got[0] == pytest.approx(math.log(2.0))
+    assert got[1] == 0.0 and got[2] == pytest.approx(1e4)
+
+
+def test_grad_check_bce_with_logits():
+    rng = np.random.default_rng(61)
+    with ng.precision("float64"):
+        x = Tensor(rng.standard_normal(6) * 3.0)
+        t = rng.random(6)
+        report = grad_check(lambda x: ng.sum(ng.bce_with_logits(x, t)), x, tol=1e-4)
+    assert report.passed, f"max rel error {report.max_rel_error}"
+    with pytest.raises(ShapeError):
+        ng.bce_with_logits(Tensor(np.zeros(3)), np.zeros(4))
+
+
+def test_scatter_rows_places_rows_and_token_with_grads():
+    rng = np.random.default_rng(71)
+    rows = np.array([4, 1])
+    with ng.precision("float64"):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        token = Tensor(rng.standard_normal(3), requires_grad=True)
+        w = rng.standard_normal((5, 3))
+        with Tape() as tape:
+            y = ng.scatter_rows(x, token, rows, 5)
+            loss = ng.sum(ng.mul(y, Tensor(w)))
+        backward(loss, tape)
+    assert np.array_equal(y.data[rows], x.data)
+    for r in (0, 2, 3):
+        assert np.array_equal(y.data[r], token.data)
+    assert np.allclose(x.grad, w[rows], atol=1e-12)
+    assert np.allclose(token.grad, w[0] + w[2] + w[3], atol=1e-12)
+
+    with ng.precision("float64"):
+        report = grad_check(
+            lambda x, token: ng.sum(ng.square(ng.mul(ng.scatter_rows(x, token, rows, 5),
+                                                     Tensor(w)))),
+            [x, token], tol=1e-4)
+    assert report.passed, f"max rel error {report.max_rel_error}"
+
+
+def test_scatter_rows_rejects_bad_rows():
+    x, token = Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))
+    with pytest.raises(IndexError):
+        ng.scatter_rows(x, token, [0, 5], 5)
+    with pytest.raises(IndexError):
+        ng.scatter_rows(x, token, [1, 1], 5)
+    with pytest.raises(ShapeError):
+        ng.scatter_rows(x, Tensor(np.zeros(2)), [0, 1], 5)

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import faceau.model
+import faceau.train
 from faceau.data import Manifest, SampleRecord
-from faceau.model import (CheckpointError, encoder_bytes, init_weights, preset,
-                          save_weights)
+from faceau.model import (CheckpointError, encoder_bytes, init_weights, load_weights,
+                          preset, save_weights)
 from faceau.optim import lr_at
 from faceau.synth import synth_corpus
 from faceau.train import (PARTIAL_EPOCHS, TrainConfig, TrainError, evaluate,
@@ -172,6 +174,24 @@ def test_run_state_round_trip_and_corruption(tmp_path):
     open(trunc, "wb").write(b"PK\x03\x04 not a run state")
     with pytest.raises(CheckpointError):
         load_run_state(trunc)
+
+
+def test_loaders_take_shapes_from_the_layout(tmp_path, monkeypatch):
+    # loading builds weights from the parameter layout, not from a throwaway
+    # random init that every array then overwrites
+    run = start_run(tiny_model(), tiny_config())
+    save_run_state(str(tmp_path / "run_state.bin"), run)
+    save_weights(run.weights, tmp_path / "model.ckpt")
+
+    def no_init(*args):
+        raise AssertionError("a loader drew a random init")
+
+    monkeypatch.setattr(faceau.model, "init_weights", no_init)
+    monkeypatch.setattr(faceau.train, "init_weights", no_init)
+    state = load_run_state(str(tmp_path / "run_state.bin"))
+    weights = load_weights(tmp_path / "model.ckpt")
+    assert param_bytes(state.weights) == param_bytes(weights) == param_bytes(run.weights)
+    assert list(state.weights.params) == list(weights.params) == list(run.weights.params)
 
 
 def test_container_bytes_are_pinned(tmp_path):
