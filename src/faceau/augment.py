@@ -49,9 +49,7 @@ def mixup(images, labels, alpha, rng):
     for i in range(b):
         a, c = labels[i], labels[partner[i]]
         out_labels.append(AULabels(
-            occurrence=lam * a.occurrence + (1.0 - lam) * c.occurrence,
-            mask=a.mask & c.mask,
-        ))
+            occurrence=lam * a.occurrence + (1.0 - lam) * c.occurrence))
     return mixed.astype(images.dtype), out_labels, lam
 
 
@@ -81,9 +79,7 @@ def cutmix(images, labels, alpha, rng):
     for i in range(b):
         a, c = labels[i], labels[partner[i]]
         out_labels.append(AULabels(
-            occurrence=(1.0 - frac) * a.occurrence + frac * c.occurrence,
-            mask=a.mask & c.mask,
-        ))
+            occurrence=(1.0 - frac) * a.occurrence + frac * c.occurrence))
     return mixed, out_labels, frac
 
 

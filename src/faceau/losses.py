@@ -57,33 +57,22 @@ class AULabels:
     """Per-sample action-unit labels.
 
     occurrence holds reals in [0, 1]: hard bits from a manifest, or soft
-    targets after mixing. intensity holds integer levels 0..5 where the
-    validity mask is set.
+    targets after mixing. intensity holds integer levels 0..5.
     """
 
     occurrence: np.ndarray | None = None
     intensity: np.ndarray | None = None
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
-        n = None
+        if self.occurrence is None and self.intensity is None:
+            raise LossError("labels need occurrence or intensity values")
         if self.occurrence is not None:
             self.occurrence = np.asarray(self.occurrence, dtype=np.float64)
-            n = self.occurrence.size
             if ((self.occurrence < 0) | (self.occurrence > 1)).any():
                 raise LossError(f"occurrence values outside [0, 1]: {self.occurrence}")
         if self.intensity is not None:
-            self.intensity = np.asarray(self.intensity, dtype=np.float64)
-            n = self.intensity.size if n is None else n
-        if n is None:
-            raise LossError("labels need occurrence or intensity values")
-        if self.mask is None:
-            self.mask = np.ones(n, dtype=bool)
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
-        if self.intensity is not None:
-            valid = self.intensity[self.mask]
-            if ((valid < 0) | (valid > 5) | (valid != np.round(valid))).any():
+            lv = self.intensity = np.asarray(self.intensity, dtype=np.float64)
+            if ((lv < 0) | (lv > 5) | (lv != np.round(lv))).any():
                 raise LossError(f"intensity levels must be integers in 0..5: {self.intensity}")
 
     @property
@@ -115,17 +104,16 @@ def loss_pretrain(pred, targets, plan, flavor="L1", reduction="mean"):
 
 
 def loss_detection(logits, labels):
-    """Sigmoid binary cross-entropy summed over valid action units."""
+    """Sigmoid binary cross-entropy summed over action units."""
     if labels.occurrence is None:
         raise LossError("detection loss needs occurrence labels")
     if logits.shape != labels.occurrence.shape:
         raise ng.ShapeError(f"logits {logits.shape} vs labels {labels.occurrence.shape}")
-    per_au = ng.bce_with_logits(logits, labels.occurrence)
-    return ng.sum(ng.mul(per_au, Tensor(labels.mask.astype(np.float64))))
+    return ng.sum(ng.bce_with_logits(logits, labels.occurrence))
 
 
 def loss_intensity(pred, labels):
-    """Squared error against levels normalized to [0, 1], summed over valid AUs.
+    """Squared error against levels normalized to [0, 1], summed over AUs.
 
     `pred` must already be on the [0, 1] scale (sigmoid applied upstream).
     """
@@ -134,9 +122,7 @@ def loss_intensity(pred, labels):
     if pred.shape != labels.intensity.shape:
         raise ng.ShapeError(f"pred {pred.shape} vs labels {labels.intensity.shape}")
     target = labels.intensity / 5.0
-    sq = ng.square(ng.sub(pred, Tensor(target)))
-    weighted = ng.mul(sq, Tensor(labels.mask.astype(np.float64)))
-    return ng.sum(weighted)
+    return ng.sum(ng.square(ng.sub(pred, Tensor(target))))
 
 
 def denormalize_intensity(pred01):

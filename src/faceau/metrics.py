@@ -230,6 +230,8 @@ def label_stats(manifest):
 
 def kfold_by_subject(manifest, k, seed):
     """Partition subjects (never frames) into k folds, sizes within 1."""
+    if k < 1:
+        raise MetricsError(f"fold count must be at least 1, got {k}")
     subjects = manifest.subjects()
     if len(subjects) < k:
         raise MetricsError(f"{len(subjects)} subjects cannot fill {k} folds")
@@ -252,6 +254,9 @@ def split_by_fold(manifest, assignment, fold):
     """(train manifest, eval manifest) for one held-out fold id."""
     from .data import Manifest
 
+    if fold not in assignment.values():
+        last = max(assignment.values(), default=-1)
+        raise MetricsError(f"fold {fold} has no subjects; valid folds are 0..{last}")
     train = [r for r in manifest.records if assignment[r.subject] != fold]
     test = [r for r in manifest.records if assignment[r.subject] == fold]
     mk = lambda recs: Manifest(records=recs, au_names=manifest.au_names,

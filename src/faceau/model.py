@@ -210,11 +210,6 @@ class MaskPlan:
     def masked_idx(self):
         return self.permutation[self.num_visible:]
 
-    @property
-    def restore_order(self):
-        # inverse permutation: restore_order[original index] = shuffled row
-        return np.argsort(self.permutation)
-
 
 def sample_mask(n_tokens, mask_ratio, rng):
     """Uniform random mask plan via an explicit Fisher-Yates shuffle."""
@@ -229,6 +224,8 @@ def sample_mask(n_tokens, mask_ratio, rng):
     # tiny slack so ratios like 0.9 with an exact-integer product don't
     # floor one token low from float rounding
     num_visible = int(math.floor(n_tokens * (1.0 - mask_ratio) + 1e-9))
+    if num_visible == 0:
+        raise ValueError(f"mask_ratio {mask_ratio} leaves none of {n_tokens} tokens visible")
     return MaskPlan(permutation=perm, num_visible=num_visible)
 
 

@@ -1,18 +1,20 @@
 """Differentiable n-dimensional array core.
 
 A small reverse-mode engine on top of dense row-major numpy arrays. It
-implements exactly the kernels the transformer model needs (matmul, a few
-elementwise maps, reductions, layer norm, softmax, row gather) plus a tape
-that records operations and replays them backwards. The model's hot paths
-are fused ops, one tape node each with a hand-written backward: `linear`
-(matmul + bias), multi-head `attention` (q/k/v projections through the
-output projection), `gelu`, `bce_with_logits` and `scatter_rows` (visible
-rows plus the shared mask token in restore order).
+implements exactly the ops the transformer model, its losses and the
+training loop call, plus a tape that records operations and replays them
+backwards. Each op is one tape node with a hand-written backward:
 
-Broadcasting is deliberately restricted: binary elementwise ops accept equal
-shapes, a scalar operand, or a smaller right operand whose shape matches the
-trailing axes of the left one (broadcast over leading batch axes). Anything
-else raises ShapeError.
+- elementwise: `add`, `sub`, `scale` (by a python constant), `gelu`,
+  `sigmoid`, `abs`, `square`
+- reductions: `sum`, `mean` (all elements or one axis)
+- fused: `linear` (matmul + bias), multi-head `attention` (q/k/v
+  projections through the output projection), `layer_norm`,
+  `bce_with_logits`
+- rows: `index_select` (gather) and `scatter_rows` (visible rows plus the
+  shared mask token in restore order)
+
+Binary ops take equal shapes; anything else raises ShapeError.
 
 Default precision is float32. Gradient checking runs under float64 via
 `precision("float64")`.
@@ -200,59 +202,24 @@ def backward(loss, tape):
 
 
 # ---------------------------------------------------------------------------
-# binary elementwise with restricted broadcasting
+# binary elementwise, equal shapes only
 
 
-def _broadcast_ok(a_shape, b_shape):
-    if a_shape == b_shape:
-        return True
-    # scalar operand
-    if int(np.prod(b_shape)) == 1 or int(np.prod(a_shape)) == 1:
-        return True
-    # right operand broadcast over leading axes of the left
-    if len(b_shape) < len(a_shape) and a_shape[len(a_shape) - len(b_shape):] == b_shape:
-        return True
-    if len(a_shape) < len(b_shape) and b_shape[len(b_shape) - len(a_shape):] == a_shape:
-        return True
-    return False
-
-
-def _reduce_to(grad, shape):
-    """Sum a broadcast gradient back down to `shape`."""
-    if grad.shape == tuple(shape):
-        return grad
-    if int(np.prod(shape)) == 1:
-        return grad.sum().reshape(shape)
-    extra = grad.ndim - len(shape)
-    g = grad.sum(axis=tuple(range(extra))) if extra else grad
-    return g.reshape(shape)
-
-
-def _binary(a, b, fwd, da_fn, db_fn, name):
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} are not broadcast-compatible")
-    arr = fwd(a.data, b.data)
-
-    def back(g):
-        ga = _reduce_to(da_fn(g, a.data, b.data), a.shape) if a.requires_grad else None
-        gb = _reduce_to(db_fn(g, a.data, b.data), b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _result(arr, (a, b), back, name)
+def _same_shape(a, b, name):
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"{name}: operand shapes {a.shape} and {b.shape} differ")
+    return a, b
 
 
 def add(a, b):
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g, "add")
+    a, b = _same_shape(a, b, "add")
+    return _result(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def sub(a, b):
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g, "sub")
-
-
-def mul(a, b):
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
+    a, b = _same_shape(a, b, "sub")
+    return _result(a.data - b.data, (a, b), lambda g: (g, -g if b.requires_grad else None), "sub")
 
 
 def scale(x, c):
@@ -266,10 +233,8 @@ def scale(x, c):
 # unary elementwise
 
 
-def _unary(x, fwd, dfn, name, check=None):
+def _unary(x, fwd, dfn, name):
     x = _as_tensor(x)
-    if _debug and check is not None:
-        check(x.data)
     arr = fwd(x.data)
 
     def back(g, _x=x.data, _y=arr):
@@ -305,18 +270,6 @@ def _sigmoid(v):
 
 def sigmoid(x):
     return _unary(x, _sigmoid, lambda g, v, y: g * y * (1.0 - y), "sigmoid")
-
-
-def exp(x):
-    return _unary(x, np.exp, lambda g, v, y: g * y, "exp")
-
-
-def log(x):
-    def check(v):
-        if (v <= 0).any():
-            raise DomainError("log of non-positive value")
-
-    return _unary(x, np.log, lambda g, v, y: g / v, "log", check=check)
 
 
 def abs(x):  # noqa: A001 - mirrors np.abs naming
@@ -362,21 +315,6 @@ def mean(x, axis=None):
 
 # ---------------------------------------------------------------------------
 # structured ops
-
-
-def matmul(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    arr = a.data @ b.data
-
-    def back(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
-        return ga, gb
-
-    return _result(arr, (a, b), back, "matmul")
 
 
 def linear(x, w, b):
@@ -473,15 +411,6 @@ def scatter_rows(x, fill, rows, n):
     return _result(arr, (x, fill), back, "scatter_rows")
 
 
-def reshape(x, shape):
-    x = _as_tensor(x)
-    shape = tuple(shape)
-    if int(np.prod(shape)) != x.size:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    arr = x.data.reshape(shape)
-    return _result(arr, (x,), lambda g: (g.reshape(x.shape),), "reshape")
-
-
 def index_select(x, idx):
     """Gather rows of a [N, D] tensor; backward scatters additively."""
     x = _as_tensor(x)
@@ -531,20 +460,6 @@ def layer_norm(x, gamma, beta, eps=1e-6):
         return gx, gg, gb
 
     return _result(arr, (x, gamma, beta), back, "layer_norm")
-
-
-def softmax(x):
-    """Row softmax over the last axis, max-subtracted for stability."""
-    x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
-
-    return _result(s, (x,), back, "softmax")
 
 
 # ---------------------------------------------------------------------------

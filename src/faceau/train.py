@@ -364,7 +364,7 @@ def _check_finetune_corpus(corpus, weights, task):
 
 def _smooth(labels, eps):
     return [AULabels(occurrence=l.occurrence * (1.0 - eps) + 0.5 * eps,
-                     intensity=l.intensity, mask=l.mask) for l in labels]
+                     intensity=l.intensity) for l in labels]
 
 
 def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None):

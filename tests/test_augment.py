@@ -129,15 +129,6 @@ def test_mixup_pixels_are_convex_combination():
     assert out.min() >= lo - 1e-6 and out.max() <= hi + 1e-6
 
 
-def test_mixup_validity_mask_intersects():
-    imgs = np.zeros((2, 1, 2, 2), dtype=np.float32)
-    labs = [AULabels(occurrence=[1, 0], mask=[True, False]),
-            AULabels(occurrence=[0, 1], mask=[True, True])]
-    _, out_labs, _ = mixup(imgs, labs, alpha=1.0, rng=StubRng(beta_value=0.3))
-    assert out_labs[0].mask.tolist() == [True, False]
-    assert out_labs[1].mask.tolist() == [True, False]
-
-
 # ------------------------------------------------------------------- cutmix
 
 def test_cutmix_identity_when_nothing_pasted():

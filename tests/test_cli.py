@@ -102,6 +102,15 @@ def test_kfold_splits_27_subjects_evenly(tmp_path):
     assert sizes == [9, 9, 9]
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_kfold_rejects_fold_count_below_one(tmp_path, corpus_dir, k, capsys):
+    out = tmp_path / "f"
+    assert run(["kfold", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                "--k", k, "--seed", "0", "--out", str(out)]) == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert not (out / "folds.json").exists()
+
+
 def test_subsample_keeps_every_nth_and_paths_resolve(tmp_path, corpus_dir):
     out = tmp_path / "sub"
     assert run(["subsample", "--manifest", str(corpus_dir / "manifest.jsonl"),
@@ -177,6 +186,15 @@ def test_pretrain_requires_seed(tmp_path, corpus_dir, capsys):
                 "--out", str(tmp_path / "x")] + TINY_MODEL)
     assert code == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_pretrain_mask_ratio_leaving_no_visible_patch(tmp_path, corpus_dir, capsys):
+    code = run(["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                "--out", str(tmp_path / "x"), "--seed", "0", "--mask-ratio", "0.99"]
+               + TINY_MODEL + TINY_TRAIN)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "0.99" in err and "16 tokens" in err
 
 
 def test_resume_rejects_seed_change(tmp_path, corpus_dir, pre_dir, capsys):
@@ -331,6 +349,18 @@ def test_finetune_bad_init_string(tmp_path, corpus_dir, capsys):
                 "--out", str(tmp_path / "x"), "--seed", "0"] + FT_FLAGS)
     assert code == 2
     assert "scratch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fold,num_folds,message", [
+    ("0", "0", "at least 1"), ("3", "3", "0..2"), ("-1", "3", "0..2")])
+def test_finetune_rejects_fold_outside_range(tmp_path, corpus_dir, fold, num_folds,
+                                             message, capsys):
+    code = run(["finetune", "--task", "detect", "--init", "scratch",
+                "--manifest", str(corpus_dir / "manifest.jsonl"),
+                "--fold", fold, "--num-folds", num_folds,
+                "--out", str(tmp_path / "x"), "--seed", "0"] + FT_FLAGS)
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_eval_reports_per_au_rows(tmp_path, corpus_dir, pre_dir, capsys):
@@ -526,6 +556,17 @@ def test_reconstruct_rejects_bad_ratio(tmp_path, corpus_dir, pre_dir, capsys):
                 "--out", str(tmp_path / "x")])
     assert code == 2
     capsys.readouterr()
+
+
+def test_reconstruct_rejects_ratio_leaving_no_visible_patch(tmp_path, corpus_dir,
+                                                           pre_dir, capsys):
+    code = run(["reconstruct", "--checkpoint", str(pre_dir / "model.ckpt"),
+                "--image", str(corpus_dir / "img_00000.pgm"),
+                "--mask-ratio", "0.99", "--seed", "0",
+                "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "0.99" in err and "16 tokens" in err
 
 
 def test_reconstruct_rejects_finetuned_checkpoint(tmp_path, corpus_dir,

@@ -197,15 +197,6 @@ def test_detection_gradient_at_zero_logit():
         assert (up - dn) / (2 * h) == pytest.approx(-0.5, abs=1e-6)
 
 
-def test_detection_validity_mask_excludes_aus():
-    with ng.precision("float64"):
-        logits = Tensor(np.array([0.0, 100.0]))
-        labels = AULabels(occurrence=np.array([1.0, 0.0]),
-                          mask=np.array([True, False]))
-        val = loss_detection(logits, labels).item()
-    assert val == pytest.approx(math.log(2.0), abs=1e-9)
-
-
 def test_detection_accepts_soft_targets():
     with ng.precision("float64"):
         logits = Tensor(np.array([0.0]))
@@ -223,8 +214,6 @@ def test_labels_reject_out_of_range():
         AULabels(intensity=np.array([1.5, 2]))
     with pytest.raises(LossError):
         AULabels()
-    # invalid positions exempt from range checks
-    AULabels(intensity=np.array([9, 2]), mask=np.array([False, True]))
 
 
 def test_detection_requires_occurrence():

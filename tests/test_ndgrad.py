@@ -1,6 +1,8 @@
-"""Autodiff core: forward oracles, gradient checks, broadcasting rules."""
+"""Autodiff core: forward oracles, gradient checks, shape rules, the op set."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,40 +17,6 @@ from faceau.ndgrad import (
     backward,
     grad_check,
 )
-
-
-def matmul_loops(a, b):
-    # independent triple-loop reference
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n), dtype=np.float64)
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += float(a[i, t]) * float(b[t, j])
-            out[i, j] = acc
-    return out
-
-
-def test_matmul_forward_matches_loop_reference():
-    rng = np.random.default_rng(7)
-    with ng.precision("float64"):
-        a = rng.standard_normal((5, 4))
-        b = rng.standard_normal((4, 3))
-        got = ng.matmul(Tensor(a), Tensor(b)).data
-        want = matmul_loops(a, b)
-    assert np.allclose(got, want, atol=1e-12)
-
-
-def test_matmul_rejects_bad_shapes():
-    a = Tensor(np.zeros((2, 3)))
-    b = Tensor(np.zeros((4, 2)))
-    with pytest.raises(ShapeError) as ei:
-        ng.matmul(a, b)
-    msg = str(ei.value)
-    assert "(2, 3)" in msg and "(4, 2)" in msg
 
 
 def test_sigmoid_forward_matches_scalar_formula():
@@ -70,19 +38,6 @@ def test_gelu_forward_matches_scalar_formula():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_softmax_rows_sum_to_one_and_shift_invariant():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((4, 7)) * 5
-    with ng.precision("float64"):
-        s = ng.softmax(Tensor(x)).data
-        s_shift = ng.softmax(Tensor(x + 123.0)).data
-    assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
-    assert np.allclose(s, s_shift, atol=1e-12)
-    # huge logits stay finite
-    big = ng.softmax(Tensor(np.array([[1e4, 0.0, -1e4]]))).data
-    assert np.isfinite(big).all()
-
-
 def test_index_select_matches_loop_gather_and_scatter():
     rng = np.random.default_rng(5)
     with ng.precision("float64"):
@@ -90,7 +45,7 @@ def test_index_select_matches_loop_gather_and_scatter():
         idx = np.array([4, 0, 4, 2])
         with Tape() as tape:
             y = ng.index_select(x, idx)
-            loss = ng.sum(ng.mul(y, y))
+            loss = ng.sum(ng.square(y))
         backward(loss, tape)
     # forward: loop gather
     for row, i in enumerate(idx):
@@ -113,13 +68,13 @@ def test_grad_check_composite_expression(seed):
     rng = np.random.default_rng(seed)
     with ng.precision("float64"):
         a = Tensor(rng.standard_normal((4, 5)))
-        b = Tensor(rng.standard_normal((5, 3)))
+        w = Tensor(rng.standard_normal((5, 3)))
+        b = Tensor(rng.standard_normal(3))
 
-        def f(a, b):
-            h = ng.gelu(ng.matmul(a, b))
-            return ng.mean(ng.mul(h, h))
+        def f(a, w, b):
+            return ng.mean(ng.square(ng.gelu(ng.linear(a, w, b))))
 
-        report = grad_check(f, [a, b], tol=1e-4, rng=rng)
+        report = grad_check(f, [a, w, b], tol=1e-4, rng=rng)
     assert report.passed, f"max rel error {report.max_rel_error}"
 
 
@@ -130,11 +85,11 @@ def test_grad_check_layer_norm_softmax(seed):
         x = Tensor(rng.standard_normal((3, 6)))
         g = Tensor(1.0 + 0.1 * rng.standard_normal(6))
         b = Tensor(0.1 * rng.standard_normal(6))
+        _, params = _attention_inputs(rng, 3, 6)
 
         def f(x, g, b):
-            h = ng.layer_norm(x, g, b)
-            s = ng.softmax(h)
-            return ng.sum(ng.mul(s, s))
+            # the pre-norm attention sublayer: layer norm feeding attention's softmax
+            return ng.sum(ng.square(ng.attention(ng.layer_norm(x, g, b), *params, 2)))
 
         report = grad_check(f, [x, g, b], tol=1e-4, rng=rng)
     assert report.passed, f"max rel error {report.max_rel_error}"
@@ -147,9 +102,9 @@ def test_grad_check_elementwise_chain(seed):
         x = Tensor(rng.standard_normal((7,)) * 0.5)
 
         def f(x):
-            y = ng.add(ng.sigmoid(x), ng.exp(ng.scale(x, -0.3)))
-            z = ng.log(ng.add(ng.square(y), 1.0))
-            return ng.sum(ng.mul(z, ng.abs(x)))
+            y = ng.add(ng.sigmoid(x), ng.gelu(ng.scale(x, -0.3)))
+            z = ng.sub(ng.square(y), ng.abs(x))
+            return ng.sum(ng.square(z))
 
         report = grad_check(f, x, tol=1e-4, rng=rng)
     assert report.passed, f"max rel error {report.max_rel_error}"
@@ -169,37 +124,20 @@ def test_grad_check_catches_wrong_gradient():
     assert not report.passed
 
 
-def test_broadcast_row_vector_over_batch():
-    rng = np.random.default_rng(9)
-    with ng.precision("float64"):
-        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        v = Tensor(rng.standard_normal(3), requires_grad=True)
-        with Tape() as tape:
-            loss = ng.sum(ng.mul(ng.add(x, v), ng.add(x, v)))
-        backward(loss, tape)
-    want_x = 2.0 * (x.data + v.data)
-    assert np.allclose(x.grad, want_x, atol=1e-12)
-    # vector grad is the column sum of the broadcast grad
-    assert np.allclose(v.grad, want_x.sum(axis=0), atol=1e-12)
-
-
 @pytest.mark.parametrize(
     "sa,sb",
-    [((3, 4), (4, 3)), ((2, 3), (2, 2)), ((4,), (3,)), ((2, 3, 4), (3, 5))],
+    [((3, 4), (4, 3)), ((2, 3), (2, 2)), ((4,), (3,)), ((2, 3, 4), (3, 5)),
+     ((4, 3), (3,)), ((2, 3), (1,))],
 )
 def test_elementwise_rejects_incompatible_shapes(sa, sb):
+    # binary ops take equal shapes only: no row or scalar broadcasting
     a = Tensor(np.zeros(sa))
     b = Tensor(np.zeros(sb))
-    with pytest.raises(ShapeError):
-        ng.add(a, b)
-
-
-def test_scalar_operands_broadcast():
-    x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-    y = ng.mul(x, 2.0)
-    assert np.allclose(y.data, x.data * 2.0)
-    z = ng.add(3.0, x)
-    assert np.allclose(z.data, x.data + 3.0)
+    for op in (ng.add, ng.sub):
+        with pytest.raises(ShapeError):
+            op(a, b)
+        with pytest.raises(ShapeError):
+            op(b, a)
 
 
 def test_backward_accumulates_until_zero_grad():
@@ -258,21 +196,6 @@ def test_reductions_over_axis():
         ng.sum(x, axis=2)
 
 
-def test_reshape_roundtrip_grads():
-    rng = np.random.default_rng(21)
-    with ng.precision("float64"):
-        x = Tensor(rng.standard_normal((2, 3, 4)))
-
-        def f(x):
-            z = ng.reshape(x, (3, 8))
-            return ng.sum(ng.square(z))
-
-        report = grad_check(f, x, tol=1e-4)
-    assert report.passed
-    with pytest.raises(ShapeError):
-        ng.reshape(Tensor(np.zeros((2, 3))), (4, 2))
-
-
 def test_default_dtype_is_float32_and_precision_context_switches():
     x = Tensor([1.0, 2.0])
     assert x.data.dtype == np.float32
@@ -283,18 +206,20 @@ def test_default_dtype_is_float32_and_precision_context_switches():
     assert z.data.dtype == np.float32
 
 
-def test_debug_mode_flags_nan_and_log_domain():
+def test_debug_mode_flags_non_finite_values():
+    big = np.array([1e30, 1.0])  # squares past float32's range
     ng.set_debug(True)
     try:
         with pytest.raises(DomainError):
             Tensor([np.nan, 1.0])
-        with pytest.raises(DomainError):
-            ng.log(Tensor([1.0, -1.0]))
+        with pytest.raises(DomainError), np.errstate(over="ignore"):
+            ng.square(Tensor(big))
     finally:
         ng.set_debug(False)
     # off by default: loud in debug only
-    out = ng.log(Tensor([1.0, math.e]))
-    assert out.data.shape == (2,)
+    with np.errstate(over="ignore"):
+        out = ng.square(Tensor(big))
+    assert np.isinf(out.data[0])
 
 
 def test_grad_check_report_fields():
@@ -352,10 +277,9 @@ def test_grad_check_attention(seed):
     rng = np.random.default_rng(300 + seed)
     with ng.precision("float64"):
         x, params = _attention_inputs(rng, 5, 12)
-        w = Tensor(rng.standard_normal((5, 12)))
 
         def f(x, *params):
-            return ng.sum(ng.mul(ng.attention(x, *params, 3), w))
+            return ng.sum(ng.square(ng.attention(x, *params, 3)))
 
         report = grad_check(f, [x] + params, tol=1e-4, rng=rng)
     assert report.passed, f"max rel error {report.max_rel_error}"
@@ -384,7 +308,7 @@ def test_grad_check_gelu():
     rng = np.random.default_rng(51)
     with ng.precision("float64"):
         x = Tensor(rng.standard_normal((3, 4)) * 2.0)
-        report = grad_check(lambda x: ng.sum(ng.mul(ng.gelu(x), x)), x, tol=1e-4)
+        report = grad_check(lambda x: ng.sum(ng.square(ng.gelu(x))), x, tol=1e-4)
     assert report.passed, f"max rel error {report.max_rel_error}"
 
 
@@ -425,17 +349,17 @@ def test_scatter_rows_places_rows_and_token_with_grads():
         w = rng.standard_normal((5, 3))
         with Tape() as tape:
             y = ng.scatter_rows(x, token, rows, 5)
-            loss = ng.sum(ng.mul(y, Tensor(w)))
+            loss = ng.sum(ng.square(ng.sub(y, Tensor(w))))
         backward(loss, tape)
     assert np.array_equal(y.data[rows], x.data)
     for r in (0, 2, 3):
         assert np.array_equal(y.data[r], token.data)
-    assert np.allclose(x.grad, w[rows], atol=1e-12)
-    assert np.allclose(token.grad, w[0] + w[2] + w[3], atol=1e-12)
+    assert np.allclose(x.grad, 2.0 * (x.data - w[rows]), atol=1e-12)
+    assert np.allclose(token.grad, 2.0 * (3.0 * token.data - w[0] - w[2] - w[3]), atol=1e-12)
 
     with ng.precision("float64"):
         report = grad_check(
-            lambda x, token: ng.sum(ng.square(ng.mul(ng.scatter_rows(x, token, rows, 5),
+            lambda x, token: ng.sum(ng.square(ng.sub(ng.scatter_rows(x, token, rows, 5),
                                                      Tensor(w)))),
             [x, token], tol=1e-4)
     assert report.passed, f"max rel error {report.max_rel_error}"
@@ -449,3 +373,25 @@ def test_scatter_rows_rejects_bad_rows():
         ng.scatter_rows(x, token, [1, 1], 5)
     with pytest.raises(ShapeError):
         ng.scatter_rows(x, Tensor(np.zeros(2)), [0, 1], 5)
+
+
+# ---------------------------------------------------------------------------
+# op set
+
+OPS = {"add", "sub", "scale", "gelu", "sigmoid", "abs", "square", "sum", "mean",
+       "linear", "attention", "bce_with_logits", "scatter_rows", "index_select",
+       "layer_norm"}
+ENGINE = {"default_dtype", "precision", "set_debug", "tensor", "backward", "grad_check"}
+
+
+def test_op_set_is_what_the_program_calls():
+    # every public function of the engine is either engine plumbing or an op,
+    # and every op is called by the model, losses, augmentation or training
+    public = {name for name, obj in vars(ng).items()
+              if callable(obj) and not isinstance(obj, type) and not name.startswith("_")
+              and getattr(obj, "__module__", None) == ng.__name__}
+    assert public - ENGINE == OPS
+    src = Path(ng.__file__).parent
+    callers = "".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "ndgrad.py")
+    uncalled = sorted(op for op in OPS if not re.search(rf"\bng\.{op}\(", callers))
+    assert not uncalled, f"ops no program path calls: {uncalled}"
