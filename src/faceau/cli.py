@@ -2,8 +2,11 @@
 dataset tooling, and the loss-ablation harness.
 
 Config files are `key = value` lines (# comments allowed); explicit flags
-override file values. Every command writes a `resolved.cfg` snapshot into its
-output directory before doing any work, and never mutates its inputs.
+override file values. Every command reads its inputs and checks its
+arguments before it creates `--out`, and the first file it writes there is a
+`resolved.cfg` snapshot; it never mutates its inputs. The training commands
+(pretrain, finetune, ablate-loss) take `--config`, and a re-run with
+`--config <out>/resolved.cfg` reproduces their run bitwise.
 
 Exit codes: 0 success, 2 usage/validation, 3 data error, 4 numerical failure.
 """
@@ -25,13 +28,13 @@ from .data import (ImageFormatError, ManifestError, align_face, load_corpus,
 from .losses import denormalize_patches, patch_normalize
 from .metrics import kfold_by_subject, label_stats, split_by_fold
 from .model import (CheckpointError, decoder_forward, encoder_forward,
-                    full_plan, load_weights, patchify, preset, sample_mask,
-                    save_weights, unpatchify)
+                    full_plan, load_weights, num_visible, patchify, preset,
+                    sample_mask, save_weights, unpatchify)
 from .optim import NumericalError
 from .synth import synth_corpus, write_corpus
 from .train import (TrainError, evaluate, finetune_loop, fresh_streams,
                     load_run_state, partial_protocol, pretrain_loop,
-                    start_run, train_preset, write_trace)
+                    protocol_epochs, start_run, train_preset, write_trace)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,6 +69,21 @@ TRAIN_OPTIONS = {
     "freeze_encoder": _parse_bool,
 }
 EXTRA_OPTIONS = {"seed": int, "model_preset": str}
+# ablate-loss keys with their defaults, each cast to its default's type
+ABLATE_DEFAULTS = {
+    "pretrain_epochs": 6, "finetune_epochs": 4, "warmup_epochs": 1,
+    "batch_size": 8, "base_lr": 0.064, "finetune_base_lr": 0.032,
+}
+ABLATE_OPTIONS = {key: type(value) for key, value in ABLATE_DEFAULTS.items()}
+COMMAND_OPTIONS = {
+    "pretrain": (MODEL_OPTIONS, TRAIN_OPTIONS, EXTRA_OPTIONS),
+    "finetune": (MODEL_OPTIONS, TRAIN_OPTIONS, EXTRA_OPTIONS),
+    # the ablation grid sets norm_pix_target itself
+    "ablate-loss": (ABLATE_OPTIONS,
+                    {k: v for k, v in MODEL_OPTIONS.items()
+                     if k != "norm_pix_target"},
+                    EXTRA_OPTIONS),
+}
 
 
 def parse_config_file(path):
@@ -107,10 +125,79 @@ def _resolve_options(args, file_values, tables):
     return resolved
 
 
-def _require_seed(resolved):
-    if "seed" not in resolved:
-        raise ValueError("--seed is required (flag or config file)")
-    return resolved["seed"]
+def _ablate_stages(values):
+    """TrainConfig overrides of the grid's pre-train and fine-tune stages."""
+    shared = dict(warmup_epochs=values["warmup_epochs"],
+                  batch_size=values["batch_size"])
+    return {
+        "pretrain": dict(shared, epochs=values["pretrain_epochs"],
+                         base_lr=values["base_lr"], random_crop=False),
+        "detect": dict(shared, epochs=values["finetune_epochs"],
+                       base_lr=values["finetune_base_lr"], drop_path_rate=0.0,
+                       randaug_magnitude=0, randaug_prob=0.0,
+                       mixup_alpha=0.0, cutmix_alpha=0.0),
+    }
+
+
+def resolve_run(args, run=None):
+    """The one config path of pretrain (fresh, or resuming `run`), finetune
+    and ablate-loss. It reads --config and the flags (flag > file); starts
+    from the model and train presets, or from the run state's two configs
+    when resuming; builds the ModelConfig and TrainConfig of each stage;
+    checks the run-level arguments; and returns ([(model config, train
+    config) per stage], resolved.cfg values). It reads no manifest and
+    writes nothing."""
+    file_values = parse_config_file(args.config) if args.config else {}
+    given = _resolve_options(args, file_values, COMMAND_OPTIONS[args.command])
+    model_over = {k: v for k, v in given.items() if k in MODEL_OPTIONS}
+    if args.command == "ablate-loss":
+        given = {**ABLATE_DEFAULTS, **given}
+        stage_over = _ablate_stages(given)
+    else:
+        task = getattr(args, "task", "pretrain")
+        stage_over = {task: {k: v for k, v in given.items() if k in TRAIN_OPTIONS}}
+        stage_over[task]["checkpoint"] = os.path.join(args.out, "run_state.bin")
+    if run is None:
+        if "seed" not in given:
+            raise ValueError("--seed is required (flag or config file)")
+        preset_name = given.get("model_preset", "desk")
+        stages = [(preset(preset_name, task=task, **model_over),
+                   train_preset(task, seed=given["seed"], **over))
+                  for task, over in stage_over.items()]
+    else:
+        if run.config.task != task:
+            raise TrainError(f"run state has task {run.config.task!r}")
+        kept = {"seed": run.config.seed, **dataclasses.asdict(run.weights.config)}
+        clash = sorted(k for k, v in given.items()
+                       if k == "model_preset" or kept.get(k, v) != v)
+        if clash:
+            raise TrainError("on resume the seed and the model come from the "
+                             f"run state; these keys differ from it: {clash}")
+        preset_name = None  # every model field is in the snapshot anyway
+        stages = [(run.weights.config,
+                   dataclasses.replace(run.config, **stage_over[task]))]
+    if args.command == "finetune":
+        if args.fold is not None and args.eval_manifest:
+            raise ValueError("--fold and --eval-manifest are mutually exclusive")
+        [(model_config, config)] = stages
+        if config.eval_every > 0 and args.fold is None and not args.eval_manifest:
+            raise TrainError("eval_every > 0 needs a held-out set: "
+                             "--fold or --eval-manifest")
+        if args.fraction is not None:
+            stages = [(model_config, dataclasses.replace(
+                config, epochs=protocol_epochs(args.fraction)))]
+    for model_config, _ in stages:
+        if model_config.task == "pretrain":
+            num_visible(model_config.num_patches, model_config.mask_ratio)
+
+    values = {"seed": stages[0][1].seed, "model_preset": preset_name}
+    if args.command == "ablate-loss":
+        values.update({k: given[k] for k in ABLATE_OPTIONS}, **model_over)
+    else:
+        model_config, config = stages[0]
+        values.update({k: getattr(model_config, k) for k in MODEL_OPTIONS})
+        values.update({k: getattr(config, k) for k in TRAIN_OPTIONS})
+    return stages, values
 
 
 def _format_value(value):
@@ -121,46 +208,19 @@ def _format_value(value):
     return str(value)
 
 
-def write_snapshot(out_dir, command, values, comments=()):
-    lines = [f"# faceau {command}"]
+def open_out(args, values, comments=()):
+    """Create --out and write its resolved.cfg. Every command calls this
+    once, after all of its inputs are read and checked, before any other
+    output."""
+    os.makedirs(args.out, exist_ok=True)
+    lines = [f"# faceau {args.command}"]
     lines += [f"# {c}" for c in comments]
     lines.append("config_version = 1")
-    for key, value in values.items():
-        if value is not None:
-            lines.append(f"{key} = {_format_value(value)}")
-    path = os.path.join(out_dir, "resolved.cfg")
-    with open(path, "w") as fh:
+    lines += [f"{key} = {_format_value(value)}"
+              for key, value in values.items() if value is not None]
+    with open(os.path.join(args.out, "resolved.cfg"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return path
-
-
-def _prepare_out(args):
-    os.makedirs(args.out, exist_ok=True)
     return args.out
-
-
-def _build_configs(args, task):
-    file_values = parse_config_file(args.config) if args.config else {}
-    resolved = _resolve_options(
-        args, file_values, (MODEL_OPTIONS, TRAIN_OPTIONS, EXTRA_OPTIONS))
-    seed = _require_seed(resolved)
-    preset_name = resolved.get("model_preset", "desk")
-    model_over = {k: v for k, v in resolved.items() if k in MODEL_OPTIONS}
-    model_config = preset(preset_name, task=task, **model_over)
-    train_over = {k: v for k, v in resolved.items() if k in TRAIN_OPTIONS}
-    run_state = os.path.join(args.out, "run_state.bin")
-    config = dataclasses.replace(train_preset(task, **train_over), seed=seed,
-                                 checkpoint=run_state)
-    return model_config, config, preset_name
-
-
-def _snapshot_run(out, command, model_config, config, preset_name, comments):
-    values = {"seed": config.seed, "model_preset": preset_name}
-    for key in MODEL_OPTIONS:
-        values[key] = getattr(model_config, key)
-    for key in TRAIN_OPTIONS:
-        values[key] = getattr(config, key)
-    write_snapshot(out, command, values, comments)
 
 
 # ---------------------------------------------------------------------------
@@ -168,38 +228,18 @@ def _snapshot_run(out, command, model_config, config, preset_name, comments):
 
 
 def cmd_pretrain(args):
-    out = _prepare_out(args)
-    if args.resume:
-        run = load_run_state(args.resume)
-        if run.config.task != "pretrain":
-            raise TrainError(f"run state has task {run.config.task!r}")
-        file_values = parse_config_file(args.config) if args.config else {}
-        over = _resolve_options(args, file_values,
-                                (MODEL_OPTIONS, TRAIN_OPTIONS, EXTRA_OPTIONS))
-        if "seed" in over and over["seed"] != run.config.seed:
-            raise TrainError(
-                f"--seed {over['seed']} conflicts with the run state's seed "
-                f"{run.config.seed}; resume keeps its own streams")
-        fixed = [k for k in over if k in MODEL_OPTIONS or k == "model_preset"]
-        if fixed:
-            raise TrainError("model shape is fixed by the run state; "
-                             f"remove: {sorted(fixed)}")
-        train_over = {k: v for k, v in over.items() if k in TRAIN_OPTIONS}
-        run.config = dataclasses.replace(
-            run.config, **train_over,
-            checkpoint=os.path.join(out, "run_state.bin"))
-        model_config, config = run.weights.config, run.config
-        preset_name = "resumed"
-    else:
-        model_config, config, preset_name = _build_configs(args, "pretrain")
+    run = load_run_state(args.resume) if args.resume else None
+    [(model_config, config)], values = resolve_run(args, run)
     comments = ["command = pretrain", f"manifest = {args.manifest}"]
     if args.resume:
         comments.append(f"resume = {args.resume}")
-    _snapshot_run(out, "pretrain", model_config, config, preset_name, comments)
     manifest = read_manifest(args.manifest)
     corpus = load_corpus(manifest)
-    if not args.resume:
+    if run is None:
         run = start_run(model_config, config)
+    else:
+        run.config = config
+    out = open_out(args, values, comments)
     rows = pretrain_loop(run, corpus)
     write_trace(os.path.join(out, "trace.csv"), rows, append=bool(args.resume))
     ckpt = os.path.join(out, "model.ckpt")
@@ -232,11 +272,8 @@ def _write_metrics(out, report):
 
 
 def cmd_finetune(args):
-    out = _prepare_out(args)
     init_path = _parse_init(args.init)
-    model_config, config, preset_name = _build_configs(args, args.task)
-    if args.fold is not None and args.eval_manifest:
-        raise ValueError("--fold and --eval-manifest are mutually exclusive")
+    [(model_config, config)], values = resolve_run(args)
     comments = [f"command = finetune --task {args.task}",
                 f"manifest = {args.manifest}", f"init = {args.init}"]
     if args.fraction is not None:
@@ -260,11 +297,10 @@ def cmd_finetune(args):
         print(f"fraction {args.fraction}: every {n}-th frame "
               f"({before} -> {len(manifest.records)} records), "
               f"{config.epochs} epochs")
-    _snapshot_run(out, "finetune", model_config, config, preset_name, comments)
     corpus = load_corpus(manifest)
     eval_corpus = load_corpus(eval_manifest) if eval_manifest else None
-
     run = start_run(model_config, config, init_from=init_path)
+    out = open_out(args, values, comments)
     rows, reports = finetune_loop(run, corpus, eval_corpus=eval_corpus)
     write_trace(os.path.join(out, "trace.csv"), rows)
     ckpt = os.path.join(out, "model.ckpt")
@@ -283,10 +319,6 @@ def cmd_finetune(args):
 
 
 def cmd_eval(args):
-    out = _prepare_out(args)
-    write_snapshot(out, "eval", {"checkpoint": args.checkpoint,
-                                 "manifest": args.manifest,
-                                 "threshold": args.threshold})
     weights = load_weights(args.checkpoint)
     if weights.config.task == "pretrain":
         raise TrainError("checkpoint holds a pre-training model; evaluation "
@@ -296,6 +328,9 @@ def cmd_eval(args):
     report = evaluate(weights, corpus, threshold=args.threshold)
     report.task = weights.config.task
     report.dataset = manifest.dataset
+    out = open_out(args, {"checkpoint": args.checkpoint,
+                          "manifest": args.manifest,
+                          "threshold": args.threshold})
     _write_metrics(out, report)
     return EXIT_OK
 
@@ -338,22 +373,20 @@ def render_triptych(weights, image_u8, ratio, rng):
 
 
 def cmd_reconstruct(args):
-    out = _prepare_out(args)
-    write_snapshot(out, "reconstruct",
-                   {"checkpoint": args.checkpoint, "image": args.image,
-                    "mask_ratio": ",".join(repr(r) for r in args.mask_ratio),
-                    "seed": args.seed})
-    for ratio in args.mask_ratio:
-        if not (0.0 <= ratio < 1.0):
-            raise ValueError(f"mask ratio {ratio} outside [0, 1)")
     weights = load_weights(args.checkpoint)
     if weights.config.task != "pretrain":
         raise TrainError("reconstruction needs a pre-training checkpoint "
                          f"(decoder); got task {weights.config.task!r}")
     image = read_image(args.image)
     rng = np.random.default_rng(args.seed)
-    for ratio in args.mask_ratio:
-        triptych = render_triptych(weights, image, ratio, rng)
+    # rendering every panel first checks each ratio and the image before
+    # --out exists
+    triptychs = [render_triptych(weights, image, ratio, rng)
+                 for ratio in args.mask_ratio]
+    out = open_out(args, {"checkpoint": args.checkpoint, "image": args.image,
+                          "mask_ratio": ",".join(repr(r) for r in args.mask_ratio),
+                          "seed": args.seed})
+    for ratio, triptych in zip(args.mask_ratio, triptychs):
         path = os.path.join(out, f"triptych_{round(ratio * 100):03d}.ppm")
         write_image(triptych, path)
         print(f"wrote {path}")
@@ -365,10 +398,9 @@ def cmd_reconstruct(args):
 
 
 def cmd_stats(args):
-    out = _prepare_out(args)
-    write_snapshot(out, "stats", {"manifest": args.manifest})
     manifest = read_manifest(args.manifest)
     stats = label_stats(manifest)
+    out = open_out(args, {"manifest": args.manifest})
     path = os.path.join(out, "stats.csv")
     with open(path, "w") as fh:
         fh.write(stats.to_csv())
@@ -381,26 +413,23 @@ def cmd_stats(args):
 
 
 def cmd_synth(args):
-    out = _prepare_out(args)
-    write_snapshot(out, "synth",
-                   {"seed": args.seed, "count": args.count,
-                    "image_size": args.image_size,
-                    "num_subjects": args.num_subjects,
-                    "num_aus": args.num_aus})
     corpus = synth_corpus(seed=args.seed, count=args.count,
                           image_size=args.image_size,
                           num_aus=args.num_aus,
                           num_subjects=args.num_subjects)
+    out = open_out(args, {"seed": args.seed, "count": args.count,
+                          "image_size": args.image_size,
+                          "num_subjects": args.num_subjects,
+                          "num_aus": args.num_aus})
     path = write_corpus(corpus, out)
     print(f"wrote {len(corpus.images)} images + {path}")
     return EXIT_OK
 
 
 def cmd_subsample(args):
-    out = _prepare_out(args)
-    write_snapshot(out, "subsample", {"manifest": args.manifest, "n": args.n})
     manifest = read_manifest(args.manifest)
     subset = subsample_every_n(manifest, args.n)
+    out = open_out(args, {"manifest": args.manifest, "n": args.n})
     # emitted records must keep pointing at the original images
     rewritten = [
         dataclasses.replace(
@@ -416,19 +445,20 @@ def cmd_subsample(args):
 
 
 def cmd_align(args):
-    out = _prepare_out(args)
-    write_snapshot(out, "align", {"manifest": args.manifest})
     manifest = read_manifest(args.manifest)
-    records = []
     for i, rec in enumerate(manifest.records):
         if rec.landmarks is None:
             raise ManifestError(f"record {i} has no landmarks; cannot align")
-        image = read_image(manifest.resolve(rec))
+    corpus = load_corpus(manifest)
+    records, images = [], []
+    for rec, image in zip(manifest.records, corpus.images):
         aligned, points = align_face(to_float(image), rec.landmarks[0],
                                      rec.landmarks[1], rec.landmarks)
-        write_image(to_uint8(np.clip(aligned, 0.0, 1.0)),
-                    os.path.join(out, rec.image_path))
+        images.append(to_uint8(np.clip(aligned, 0.0, 1.0)))
         records.append(dataclasses.replace(rec, landmarks=np.maximum(points, 0.0)))
+    out = open_out(args, {"manifest": args.manifest})
+    for rec, image in zip(records, images):
+        write_image(image, os.path.join(out, rec.image_path))
     aligned_manifest = dataclasses.replace(manifest, records=records, base_dir=out)
     path = os.path.join(out, "manifest.jsonl")
     write_manifest(aligned_manifest, path)
@@ -437,11 +467,10 @@ def cmd_align(args):
 
 
 def cmd_kfold(args):
-    out = _prepare_out(args)
-    write_snapshot(out, "kfold", {"manifest": args.manifest, "k": args.k,
-                                  "seed": args.seed})
     manifest = read_manifest(args.manifest)
     assignment = kfold_by_subject(manifest, args.k, args.seed)
+    out = open_out(args, {"manifest": args.manifest, "k": args.k,
+                          "seed": args.seed})
     sizes = [sum(1 for f in assignment.values() if f == i) for i in range(args.k)]
     path = os.path.join(out, "folds.json")
     with open(path, "w") as fh:
@@ -471,60 +500,30 @@ def _data_order_hash(seed, epochs, count):
 
 
 def cmd_ablate_loss(args):
-    out = _prepare_out(args)
-    file_values = parse_config_file(args.config) if args.config else {}
-    resolved = _resolve_options(args, file_values,
-                                (MODEL_OPTIONS, EXTRA_OPTIONS))
-    seed = _require_seed(resolved)
-    preset_name = resolved.get("model_preset", "desk")
-    model_over = {k: v for k, v in resolved.items()
-                  if k in MODEL_OPTIONS and k != "norm_pix_target"}
-    snapshot = {"seed": seed, "model_preset": preset_name,
-                "pretrain_epochs": args.pretrain_epochs,
-                "finetune_epochs": args.finetune_epochs,
-                "warmup_epochs": args.warmup_epochs,
-                "batch_size": args.batch_size,
-                "base_lr": args.base_lr,
-                "finetune_base_lr": args.finetune_base_lr}
-    snapshot.update(model_over)
-    write_snapshot(out, "ablate-loss", snapshot,
-                   [f"manifest = {args.manifest}",
-                    f"eval_manifest = {args.eval_manifest}",
-                    "grid = L2 w/o norm, L2 w/ norm, L1 w/o norm, L1 w/ norm"])
-
+    [(model_pre, pre_cfg), (model_ft, ft_cfg)], values = resolve_run(args)
     manifest = read_manifest(args.manifest)
     eval_manifest = read_manifest(args.eval_manifest)
     corpus = load_corpus(manifest)
     eval_corpus = load_corpus(eval_manifest)
-    order_hash = _data_order_hash(seed, args.pretrain_epochs, len(corpus))
+    order_hash = _data_order_hash(pre_cfg.seed, pre_cfg.epochs, len(corpus))
+    out = open_out(args, values,
+                   [f"manifest = {args.manifest}",
+                    f"eval_manifest = {args.eval_manifest}",
+                    "grid = L2 w/o norm, L2 w/ norm, L1 w/o norm, L1 w/ norm"])
 
     lines = ["variant,recon_loss,norm_pix_target,data_order,"
              "pretrain_loss,avg_f1"]
     table = []
     for flavor, norm in ABLATION_GRID:
         variant = f"{flavor} {'w/' if norm else 'w/o'} norm"
-        model_pre = preset(preset_name, task="pretrain",
-                           norm_pix_target=norm, **model_over)
-        pre_cfg = train_preset(
-            "pretrain", epochs=args.pretrain_epochs,
-            warmup_epochs=args.warmup_epochs, base_lr=args.base_lr,
-            batch_size=args.batch_size, recon_loss=flavor, random_crop=False)
-        pre_cfg = dataclasses.replace(pre_cfg, seed=seed)
-        run = start_run(model_pre, pre_cfg)
+        run = start_run(dataclasses.replace(model_pre, norm_pix_target=norm),
+                        dataclasses.replace(pre_cfg, recon_loss=flavor))
         rows = pretrain_loop(run, corpus)
         ckpt = os.path.join(out, f"pre_{flavor}_{'norm' if norm else 'raw'}.ckpt")
         save_weights(run.weights, ckpt)
 
-        model_ft = preset(preset_name, task="detect",
-                          norm_pix_target=norm, **model_over)
-        ft_cfg = train_preset(
-            "detect", epochs=args.finetune_epochs,
-            warmup_epochs=args.warmup_epochs, base_lr=args.finetune_base_lr,
-            batch_size=args.batch_size, drop_path_rate=0.0,
-            randaug_magnitude=0, randaug_prob=0.0,
-            mixup_alpha=0.0, cutmix_alpha=0.0)
-        ft_cfg = dataclasses.replace(ft_cfg, seed=seed)
-        ft_run = start_run(model_ft, ft_cfg, init_from=ckpt)
+        ft_run = start_run(dataclasses.replace(model_ft, norm_pix_target=norm),
+                           ft_cfg, init_from=ckpt)
         finetune_loop(ft_run, corpus)
         report = evaluate(ft_run.weights, eval_corpus)
         avg_f1 = report.average("f1")
@@ -567,7 +566,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--resume", help="run-state file to continue from")
-    _add_option_flags(p, (MODEL_OPTIONS, TRAIN_OPTIONS, EXTRA_OPTIONS))
+    _add_option_flags(p, COMMAND_OPTIONS["pretrain"])
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="supervised fine-tuning")
@@ -582,7 +581,7 @@ def build_parser():
                    help="sparse-frames protocol fraction")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    _add_option_flags(p, (MODEL_OPTIONS, TRAIN_OPTIONS, EXTRA_OPTIONS))
+    _add_option_flags(p, COMMAND_OPTIONS["finetune"])
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="metrics for a fine-tuned checkpoint")
@@ -637,18 +636,9 @@ def build_parser():
                        help="pretrain-loss grid: {L1, L2} x {w/, w/o} norm")
     p.add_argument("--manifest", required=True)
     p.add_argument("--eval-manifest", dest="eval_manifest", required=True)
-    p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int,
-                   default=6)
-    p.add_argument("--finetune-epochs", dest="finetune_epochs", type=int,
-                   default=4)
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int, default=1)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=8)
-    p.add_argument("--base-lr", dest="base_lr", type=float, default=0.064)
-    p.add_argument("--finetune-base-lr", dest="finetune_base_lr", type=float,
-                   default=0.032)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    _add_option_flags(p, (MODEL_OPTIONS, EXTRA_OPTIONS))
+    _add_option_flags(p, COMMAND_OPTIONS["ablate-loss"])
     p.set_defaults(func=cmd_ablate_loss)
 
     return parser

@@ -211,22 +211,29 @@ class MaskPlan:
         return self.permutation[self.num_visible:]
 
 
+def num_visible(n_tokens, mask_ratio):
+    """Tokens a mask ratio leaves visible; ValueError when the ratio is
+    outside [0, 1) or leaves none."""
+    if not (0.0 <= mask_ratio < 1.0):
+        raise ValueError(f"mask_ratio {mask_ratio} outside [0, 1)")
+    # tiny slack so ratios like 0.9 with an exact-integer product don't
+    # floor one token low from float rounding
+    visible = int(math.floor(n_tokens * (1.0 - mask_ratio) + 1e-9))
+    if visible == 0:
+        raise ValueError(f"mask_ratio {mask_ratio} leaves none of {n_tokens} tokens visible")
+    return visible
+
+
 def sample_mask(n_tokens, mask_ratio, rng):
     """Uniform random mask plan via an explicit Fisher-Yates shuffle."""
     if n_tokens < 1:
         raise ValueError("need at least one token")
-    if not (0.0 <= mask_ratio < 1.0):
-        raise ValueError(f"mask_ratio {mask_ratio} outside [0, 1)")
+    visible = num_visible(n_tokens, mask_ratio)
     perm = np.arange(n_tokens, dtype=np.int64)
     for i in range(n_tokens - 1, 0, -1):
         j = int(rng.integers(0, i + 1))
         perm[i], perm[j] = perm[j], perm[i]
-    # tiny slack so ratios like 0.9 with an exact-integer product don't
-    # floor one token low from float rounding
-    num_visible = int(math.floor(n_tokens * (1.0 - mask_ratio) + 1e-9))
-    if num_visible == 0:
-        raise ValueError(f"mask_ratio {mask_ratio} leaves none of {n_tokens} tokens visible")
-    return MaskPlan(permutation=perm, num_visible=num_visible)
+    return MaskPlan(permutation=perm, num_visible=visible)
 
 
 def full_plan(n_tokens):
@@ -574,13 +581,3 @@ def load_encoder_only(path, config, rng):
             weights.params[name].data = arr
         return weights
     return read_container(path, WEIGHTS_MAGIC, decode)
-
-
-def encoder_bytes(weights):
-    """Concatenated raw bytes of encoder parameters, for freeze checks."""
-    parts = [
-        np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-        for name, t in weights.params.items()
-        if name.startswith(ENCODER_PREFIXES)
-    ]
-    return b"".join(parts)

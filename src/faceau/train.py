@@ -459,21 +459,21 @@ def evaluate(weights, corpus, threshold=0.5):
 PARTIAL_EPOCHS = {0.1: 200, 0.01: 2000, 0.005: 4000, 0.002: 10000, 0.001: 20000}
 
 
+def protocol_epochs(fraction):
+    """Fine-tune epochs of a table fraction; TrainError for any other."""
+    for key, epochs in PARTIAL_EPOCHS.items():
+        if math.isclose(fraction, key, rel_tol=1e-9):
+            return epochs
+    raise TrainError(
+        f"fraction {fraction} not in protocol table {sorted(PARTIAL_EPOCHS)}")
+
+
 def partial_protocol(manifest, fraction, config):
     """Every-Nth-frame subset plus the epoch count that goes with it.
 
     Only the table fractions are accepted; returns (subset manifest, derived
     TrainConfig with the adjusted epoch budget).
     """
-    match = None
-    for key in PARTIAL_EPOCHS:
-        if math.isclose(fraction, key, rel_tol=1e-9):
-            match = key
-            break
-    if match is None:
-        raise TrainError(
-            f"fraction {fraction} not in protocol table {sorted(PARTIAL_EPOCHS)}")
-    n = round(1.0 / match)
-    subset = subsample_every_n(manifest, n)
-    derived = dataclasses.replace(config, epochs=PARTIAL_EPOCHS[match])
-    return subset, derived
+    epochs = protocol_epochs(fraction)
+    subset = subsample_every_n(manifest, round(1.0 / fraction))
+    return subset, dataclasses.replace(config, epochs=epochs)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface: exit codes, output files,
 determinism across re-runs, and resume behavior."""
 
+import argparse
 import binascii
 import json
 import os
@@ -43,6 +44,54 @@ def pre_dir(tmp_path_factory, corpus_dir):
                 "--out", str(out), "--seed", "0"] + TINY_MODEL + TINY_TRAIN)
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def ft_dir(tmp_path_factory, corpus_dir):
+    out = tmp_path_factory.mktemp("ft")
+    code = run(["finetune", "--task", "detect", "--init", "scratch",
+                "--manifest", str(corpus_dir / "manifest.jsonl"), "--fold", "0",
+                "--out", str(out), "--seed", "0"] + FT_FLAGS)
+    assert code == 0
+    return out
+
+
+# the flags of pretrain and finetune: model keys plus seed and model_preset,
+# train keys plus --config, --manifest and --out
+MODEL_DESTS = ["channels", "dec_depth", "dec_heads", "dec_width", "enc_depth",
+               "enc_heads", "enc_width", "image_size", "mask_ratio", "mlp_ratio",
+               "model_preset", "num_aus", "patch_size", "seed"]
+TRAIN_DESTS = ["base_lr", "batch_size", "beta2", "checkpoint_every", "config",
+               "crop_min_scale", "cutmix_alpha", "drop_path_rate", "epochs",
+               "eval_every", "freeze_encoder", "label_smoothing", "manifest",
+               "min_lr", "mixup_alpha", "norm_pix_target", "out",
+               "randaug_magnitude", "randaug_prob", "random_crop", "recon_loss",
+               "reduction", "warmup_epochs", "weight_decay"]
+CLI_SURFACE = {
+    "pretrain": MODEL_DESTS + TRAIN_DESTS + ["resume"],
+    "finetune": MODEL_DESTS + TRAIN_DESTS + [
+        "eval_manifest", "fold", "fraction", "init", "num_folds", "task"],
+    "eval": ["checkpoint", "manifest", "out", "threshold"],
+    "reconstruct": ["checkpoint", "image", "mask_ratio", "out", "seed"],
+    "stats": ["manifest", "out"],
+    "synth": ["count", "image_size", "num_aus", "num_subjects", "out", "seed"],
+    "subsample": ["manifest", "n", "out"],
+    "align": ["manifest", "out"],
+    "kfold": ["k", "manifest", "out", "seed"],
+    "ablate-loss": MODEL_DESTS + [
+        "base_lr", "batch_size", "config", "eval_manifest", "finetune_base_lr",
+        "finetune_epochs", "manifest", "out", "pretrain_epochs",
+        "warmup_epochs"],
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: sorted(a.dest for a in p._actions if a.dest != "help")
+               for name, p in sub.choices.items()}
+    assert surface == {name: sorted(dests) for name, dests in CLI_SURFACE.items()}
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -197,6 +246,20 @@ def test_pretrain_mask_ratio_leaving_no_visible_patch(tmp_path, corpus_dir, caps
     assert "0.99" in err and "16 tokens" in err
 
 
+def test_resumed_snapshot_replays_bitwise(tmp_path, corpus_dir):
+    base = ["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl")]
+    first, resumed, replay = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert run(base + ["--out", str(first), "--seed", "0", "--epochs", "1"]
+               + TINY_MODEL + TINY_TRAIN[2:]) == 0
+    state = str(first / "run_state.bin")
+    assert run(base + ["--out", str(resumed), "--resume", state,
+                       "--epochs", "2"]) == 0
+    assert "model_preset" not in (resumed / "resolved.cfg").read_text()
+    assert run(base + ["--out", str(replay), "--resume", state, "--config",
+                       str(resumed / "resolved.cfg")]) == 0
+    assert (replay / "model.ckpt").read_bytes() == (resumed / "model.ckpt").read_bytes()
+
+
 def test_resume_rejects_seed_change(tmp_path, corpus_dir, pre_dir, capsys):
     code = run(["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl"),
                 "--out", str(tmp_path / "x"),
@@ -256,6 +319,77 @@ def test_divergence_is_numerical_error(tmp_path, corpus_dir, capsys):
                 "--base-lr", "1e14"] + TINY_MODEL)
     assert code == 4
     assert "non-finite" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# rejected runs: every check runs before --out is created
+
+
+def _manifest(p):
+    return str(p["corpus"] / "manifest.jsonl")
+
+
+def _finetune(p, *flags, init="scratch"):
+    return ["finetune", "--task", "detect", "--init", init,
+            "--manifest", _manifest(p), "--seed", "0", *flags] + FT_FLAGS
+
+
+def _reconstruct(p, ckpt, *ratios):
+    return ["reconstruct", "--checkpoint", str(ckpt / "model.ckpt"),
+            "--image", str(p["corpus"] / "img_00000.pgm"), "--seed", "0",
+            "--mask-ratio", *ratios]
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(lambda p: ["pretrain", "--manifest", _manifest(p), "--seed", "0",
+                            "--mask-ratio", "0.99"] + TINY_MODEL, 2,
+                 id="pretrain-no-visible-token"),
+    pytest.param(lambda p: ["pretrain", "--manifest", _manifest(p)] + TINY_MODEL, 2,
+                 id="pretrain-no-seed"),
+    pytest.param(lambda p: ["pretrain", "--manifest", _manifest(p), "--seed", "0",
+                            "--epochs", "0"], 2, id="pretrain-zero-epochs"),
+    pytest.param(lambda p: ["pretrain", "--manifest", _manifest(p), "--seed", "0",
+                            "--recon-loss", "L3"], 2, id="pretrain-bad-loss"),
+    pytest.param(lambda p: ["kfold", "--manifest", _manifest(p), "--k", "0",
+                            "--seed", "0"], 2, id="kfold-zero-folds"),
+    pytest.param(lambda p: _reconstruct(p, p["pre"], "0.25", "0.99"), 2,
+                 id="reconstruct-second-ratio-no-visible-token"),
+    pytest.param(lambda p: _reconstruct(p, p["ft"], "0.75"), 2,
+                 id="reconstruct-finetuned-checkpoint"),
+    pytest.param(lambda p: ["eval", "--checkpoint", str(p["pre"] / "model.ckpt"),
+                            "--manifest", _manifest(p)], 2,
+                 id="eval-pretrain-checkpoint"),
+    pytest.param(lambda p: _finetune(p, init="bogus"), 2,
+                 id="finetune-bad-init"),
+    pytest.param(lambda p: _finetune(p, "--fold", "5", "--num-folds", "3"), 2,
+                 id="finetune-fold-out-of-range"),
+    pytest.param(lambda p: _finetune(p, "--fold", "0", "--eval-manifest",
+                                     _manifest(p)), 2,
+                 id="finetune-fold-and-eval-manifest"),
+    pytest.param(lambda p: _finetune(p, "--eval-manifest", _manifest(p),
+                                     "--fraction", "0.3"), 2,
+                 id="finetune-fraction-off-table"),
+    pytest.param(lambda p: _finetune(p, "--eval-every", "1"), 2,
+                 id="finetune-eval-every-without-held-out"),
+    pytest.param(lambda p: ["finetune", "--task", "detect", "--init", "scratch",
+                            "--manifest", str(p["corpus"] / "missing.jsonl"),
+                            "--seed", "0"], 3, id="finetune-missing-manifest"),
+    pytest.param(lambda p: ["ablate-loss", "--manifest", _manifest(p),
+                            "--eval-manifest", _manifest(p), "--seed", "0",
+                            "--mask-ratio", "0.99"] + TINY_MODEL, 2,
+                 id="ablate-no-visible-token"),
+    pytest.param(lambda p: ["ablate-loss", "--manifest", _manifest(p),
+                            "--eval-manifest", _manifest(p), "--seed", "0",
+                            "--norm-pix-target", "false"] + TINY_MODEL, 2,
+                 id="ablate-norm-pix-target-flag"),
+])
+def test_rejected_run_leaves_out_absent(tmp_path, corpus_dir, pre_dir, ft_dir,
+                                        capsys, argv, code):
+    out = tmp_path / "out"
+    paths = {"corpus": corpus_dir, "pre": pre_dir, "ft": ft_dir}
+    assert run(argv(paths) + ["--out", str(out)]) == code
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -610,3 +744,16 @@ def test_ablate_grid_rows_and_reproducibility(tmp_path, corpus_dir):
     hashes = {line.split(",")[3] for line in lines[1:]}
     assert len(hashes) == 1  # all four runs consumed the same data order
     assert text == (outs[1] / "ablation.csv").read_text()
+
+
+def test_ablate_snapshot_replays_bitwise(tmp_path, corpus_dir):
+    manifest = str(corpus_dir / "manifest.jsonl")
+    base = ["ablate-loss", "--manifest", manifest, "--eval-manifest", manifest]
+    first, replay = tmp_path / "a", tmp_path / "b"
+    assert run(base + ["--out", str(first), "--seed", "0", "--pretrain-epochs",
+                       "1", "--finetune-epochs", "1", "--batch-size", "4"]
+               + TINY_MODEL) == 0
+    assert run(base + ["--out", str(replay), "--config",
+                       str(first / "resolved.cfg")]) == 0
+    assert ((replay / "ablation.csv").read_bytes()
+            == (first / "ablation.csv").read_bytes())

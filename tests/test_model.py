@@ -536,15 +536,6 @@ def test_desk_sample_tape_sizes():
     assert len(tape.nodes) <= 50
 
 
-def test_encoder_bytes_tracks_encoder_params():
-    w = init_weights(tiny_config(task="detect"), np.random.default_rng(0))
-    before = mdl.encoder_bytes(w)
-    w.params["head.fc.w"].data[...] += 1.0
-    assert mdl.encoder_bytes(w) == before
-    w.params["enc.norm.g"].data[0] += 1.0
-    assert mdl.encoder_bytes(w) != before
-
-
 def test_backward_through_masked_pipeline_populates_grads():
     cfg = tiny_config()
     w = init_weights(cfg, np.random.default_rng(0))

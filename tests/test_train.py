@@ -10,8 +10,8 @@ import pytest
 import faceau.model
 import faceau.train
 from faceau.data import Manifest, SampleRecord
-from faceau.model import (CheckpointError, encoder_bytes, init_weights, load_weights,
-                          preset, save_weights)
+from faceau.model import (ENCODER_PREFIXES, CheckpointError, init_weights,
+                          load_weights, preset, save_weights)
 from faceau.optim import lr_at
 from faceau.synth import synth_corpus
 from faceau.train import (PARTIAL_EPOCHS, TrainConfig, TrainError, evaluate,
@@ -39,6 +39,12 @@ def tiny_corpus(count=6, seed=0):
 def param_bytes(weights):
     return b"".join(np.ascontiguousarray(t.data, dtype="<f4").tobytes()
                     for _, t in weights.param_items())
+
+
+def encoder_bytes(weights):
+    return b"".join(np.ascontiguousarray(t.data, dtype="<f4").tobytes()
+                    for name, t in weights.param_items()
+                    if name.startswith(ENCODER_PREFIXES))
 
 
 # ------------------------------------------------------------------- config
