@@ -14,7 +14,6 @@ import numpy as np
 
 from . import ndgrad as ng
 from .data import bilinear_sample, resize_bilinear, rotate_about
-from .losses import AULabels
 
 
 def drop_path(x, rate, rng, training):
@@ -34,7 +33,8 @@ def drop_path(x, rate, rng, training):
 
 
 def mixup(images, labels, alpha, rng):
-    """Blend each sample with a permuted partner; labels blend identically.
+    """Blend each sample with a permuted partner; the [B, A] label rows
+    blend identically.
 
     Returns (images, labels, lam). Identity for a batch of one or alpha 0.
     """
@@ -45,17 +45,14 @@ def mixup(images, labels, alpha, rng):
     lam = float(rng.beta(alpha, alpha))
     partner = rng.permutation(b)
     mixed = lam * images + (1.0 - lam) * images[partner]
-    out_labels = []
-    for i in range(b):
-        a, c = labels[i], labels[partner[i]]
-        out_labels.append(AULabels(
-            occurrence=lam * a.occurrence + (1.0 - lam) * c.occurrence))
-    return mixed.astype(images.dtype), out_labels, lam
+    return (mixed.astype(images.dtype),
+            lam * labels + (1.0 - lam) * labels[partner], lam)
 
 
 def cutmix(images, labels, alpha, rng):
-    """Paste one rectangle from a permuted partner; labels mix by the exact
-    realized pixel fraction. Returns (images, labels, pasted_fraction)."""
+    """Paste one rectangle from a permuted partner; the [B, A] label rows mix
+    by the exact realized pixel fraction. Returns (images, labels,
+    pasted_fraction)."""
     images = np.asarray(images)
     b = images.shape[0]
     if b <= 1 or alpha <= 0:
@@ -75,12 +72,7 @@ def cutmix(images, labels, alpha, rng):
     partner = rng.permutation(b)
     mixed = images.copy()
     mixed[:, :, y0:y1, x0:x1] = images[partner][:, :, y0:y1, x0:x1]
-    out_labels = []
-    for i in range(b):
-        a, c = labels[i], labels[partner[i]]
-        out_labels.append(AULabels(
-            occurrence=(1.0 - frac) * a.occurrence + frac * c.occurrence))
-    return mixed, out_labels, frac
+    return mixed, (1.0 - frac) * labels + frac * labels[partner], frac
 
 
 def _translate(image, dx, dy):

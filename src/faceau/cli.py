@@ -28,13 +28,14 @@ from .data import (ImageFormatError, ManifestError, align_face, load_corpus,
 from .losses import denormalize_patches, patch_normalize
 from .metrics import kfold_by_subject, label_stats, split_by_fold
 from .model import (CheckpointError, decoder_forward, encoder_forward,
-                    full_plan, load_weights, num_visible, patchify, preset,
+                    full_plan, load_weights, patchify, preset,
                     sample_mask, save_weights, unpatchify)
 from .optim import NumericalError
 from .synth import synth_corpus, write_corpus
-from .train import (TrainError, evaluate, finetune_loop, fresh_streams,
-                    load_run_state, partial_protocol, pretrain_loop,
-                    protocol_epochs, start_run, train_preset, write_trace)
+from .train import (TrainError, check_stage, evaluate, finetune_loop,
+                    fresh_streams, label_matrix, load_run_state,
+                    partial_protocol, pretrain_loop, protocol_epochs,
+                    require_records, start_run, train_preset, write_trace)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -186,9 +187,8 @@ def resolve_run(args, run=None):
         if args.fraction is not None:
             stages = [(model_config, dataclasses.replace(
                 config, epochs=protocol_epochs(args.fraction)))]
-    for model_config, _ in stages:
-        if model_config.task == "pretrain":
-            num_visible(model_config.num_patches, model_config.mask_ratio)
+    for model_config, config in stages:
+        check_stage(model_config, config)
 
     values = {"seed": stages[0][1].seed, "model_preset": preset_name}
     if args.command == "ablate-loss":
@@ -234,6 +234,7 @@ def cmd_pretrain(args):
     if args.resume:
         comments.append(f"resume = {args.resume}")
     manifest = read_manifest(args.manifest)
+    require_records(manifest)
     corpus = load_corpus(manifest)
     if run is None:
         run = start_run(model_config, config)
@@ -297,6 +298,9 @@ def cmd_finetune(args):
         print(f"fraction {args.fraction}: every {n}-th frame "
               f"({before} -> {len(manifest.records)} records), "
               f"{config.epochs} epochs")
+    for checked in (manifest, eval_manifest):
+        if checked is not None:
+            label_matrix(checked, model_config)
     corpus = load_corpus(manifest)
     eval_corpus = load_corpus(eval_manifest) if eval_manifest else None
     run = start_run(model_config, config, init_from=init_path)
@@ -310,9 +314,11 @@ def cmd_finetune(args):
                          if v is not None)
         print(f"eval epoch {epoch}: {avgs}")
     if eval_corpus is not None:
-        final = evaluate(run.weights, eval_corpus)
-        final.task = args.task
-        final.dataset = manifest.dataset
+        # a report taken at the last epoch already scored the final weights
+        if reports and reports[-1][0] == run.epoch:
+            final = reports[-1][1]
+        else:
+            final = evaluate(run.weights, eval_corpus)
         _write_metrics(out, final)
     print(f"checkpoint: {ckpt}")
     return EXIT_OK
@@ -326,8 +332,6 @@ def cmd_eval(args):
     manifest = read_manifest(args.manifest)
     corpus = load_corpus(manifest)
     report = evaluate(weights, corpus, threshold=args.threshold)
-    report.task = weights.config.task
-    report.dataset = manifest.dataset
     out = open_out(args, {"checkpoint": args.checkpoint,
                           "manifest": args.manifest,
                           "threshold": args.threshold})
@@ -503,6 +507,8 @@ def cmd_ablate_loss(args):
     [(model_pre, pre_cfg), (model_ft, ft_cfg)], values = resolve_run(args)
     manifest = read_manifest(args.manifest)
     eval_manifest = read_manifest(args.eval_manifest)
+    for checked in (manifest, eval_manifest):
+        label_matrix(checked, model_ft)
     corpus = load_corpus(manifest)
     eval_corpus = load_corpus(eval_manifest)
     order_hash = _data_order_hash(pre_cfg.seed, pre_cfg.epochs, len(corpus))

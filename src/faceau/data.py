@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -390,10 +390,7 @@ def subsample_every_n(manifest, n):
         for pos, rec in enumerate(ordered):
             if pos % n == 0:
                 keep.add(id(rec))
-    records = [r for r in manifest.records if id(r) in keep]
-    return Manifest(records=records, au_names=manifest.au_names,
-                    dataset=manifest.dataset, image_size=manifest.image_size,
-                    base_dir=manifest.base_dir)
+    return replace(manifest, records=[r for r in manifest.records if id(r) in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +408,9 @@ class Corpus:
         return len(self.manifest.records)
 
     def subset(self, indices):
-        return Corpus(
-            manifest=Manifest(
-                records=[self.manifest.records[i] for i in indices],
-                au_names=self.manifest.au_names,
-                dataset=self.manifest.dataset,
-                image_size=self.manifest.image_size,
-                base_dir=self.manifest.base_dir,
-            ),
-            images=[self.images[i] for i in indices],
-        )
+        records = [self.manifest.records[i] for i in indices]
+        return Corpus(manifest=replace(self.manifest, records=records),
+                      images=[self.images[i] for i in indices])
 
 
 def load_corpus(manifest):

@@ -9,7 +9,7 @@ flag, and ICC over constant ratings is a flagged null, never a silent 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,10 +24,6 @@ class MetricsReport:
     columns: dict  # metric name -> list of float | None, aligned with au_names
     flags: dict = field(default_factory=dict)  # metric -> list of str | None
     num_samples: int = 0
-    task: str = ""
-    dataset: str = ""
-    fold: int | None = None
-    threshold: float | None = None
 
     def average(self, metric):
         vals = [v for v in self.columns[metric] if v is not None]
@@ -79,7 +75,7 @@ class MetricsReport:
 # detection
 
 
-def f1_scores(pred_binary, gt, au_names=None, **meta):
+def f1_scores(pred_binary, gt, au_names=None):
     """Micro (sample-pooled) per-AU F1 = 2TP / (2TP + FP + FN)."""
     pred = np.asarray(pred_binary)
     gt = np.asarray(gt)
@@ -103,8 +99,7 @@ def f1_scores(pred_binary, gt, au_names=None, **meta):
             values.append(2.0 * tp / (2.0 * tp + fp + fn))
             flags.append(None)
     return MetricsReport(au_names=au_names, columns={"f1": values},
-                         flags={"f1": flags}, num_samples=pred.shape[0],
-                         threshold=0.5, **meta)
+                         flags={"f1": flags}, num_samples=pred.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +136,7 @@ def icc31(pred, gt):
     return float((bms - ems) / denom), None
 
 
-def mse_mae(pred, gt, au_names=None, **meta):
+def mse_mae(pred, gt, au_names=None):
     """Per-AU mean squared / absolute error on the 0-5 scale."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
@@ -156,12 +151,12 @@ def mse_mae(pred, gt, au_names=None, **meta):
     au_names = list(au_names) if au_names else [f"au{i}" for i in range(n_aus)]
     return MetricsReport(au_names=au_names,
                          columns={"mse": mse.tolist(), "mae": mae.tolist()},
-                         num_samples=pred.shape[0], **meta)
+                         num_samples=pred.shape[0])
 
 
-def intensity_report(pred, gt, au_names=None, **meta):
+def intensity_report(pred, gt, au_names=None):
     """Combined ICC / MSE / MAE report on 0-5 scale predictions."""
-    report = mse_mae(pred, gt, au_names=au_names, **meta)
+    report = mse_mae(pred, gt, au_names=au_names)
     iccs, flags = [], []
     for j in range(np.asarray(pred).shape[1]):
         val, flag = icc31(np.asarray(pred)[:, j], np.asarray(gt)[:, j])
@@ -252,15 +247,9 @@ def kfold_by_subject(manifest, k, seed):
 
 def split_by_fold(manifest, assignment, fold):
     """(train manifest, eval manifest) for one held-out fold id."""
-    from .data import Manifest
-
     if fold not in assignment.values():
         last = max(assignment.values(), default=-1)
         raise MetricsError(f"fold {fold} has no subjects; valid folds are 0..{last}")
     train = [r for r in manifest.records if assignment[r.subject] != fold]
     test = [r for r in manifest.records if assignment[r.subject] == fold]
-    mk = lambda recs: Manifest(records=recs, au_names=manifest.au_names,
-                               dataset=manifest.dataset,
-                               image_size=manifest.image_size,
-                               base_dir=manifest.base_dir)
-    return mk(train), mk(test)
+    return replace(manifest, records=train), replace(manifest, records=test)

@@ -30,8 +30,8 @@ from .metrics import f1_scores, intensity_report
 from .model import (ENCODER_PREFIXES, RUN_STATE_MAGIC, CheckpointError,
                     ModelConfig, ModelWeights, build_weights, classifier_forward,
                     decoder_forward, encoder_forward, init_weights,
-                    load_encoder_only, match_arrays, param_shapes, patchify,
-                    read_container, sample_mask, write_container)
+                    load_encoder_only, match_arrays, num_visible, param_shapes,
+                    patchify, read_container, sample_mask, write_container)
 from .optim import NumericalError, OptimState, adamw_step, init_optim, lr_at
 
 
@@ -198,14 +198,48 @@ def write_trace(path, rows, append=False):
             writer.writerow([r.step, r.epoch, repr(r.lr), repr(r.loss)])
 
 
-def start_run(model_config, config, init_from=None):
-    """Fresh RunState; `init_from` loads encoder weights from a checkpoint
-    produced by the pre-training stage (everything else re-initialized)."""
+def check_stage(model_config, config):
+    """The pairing rules of a model and a train config; start_run applies
+    them, and the commands apply them before writing any output."""
     if model_config.task != config.task:
         raise TrainError(
             f"model task {model_config.task!r} != train task {config.task!r}")
-    if config.task == "pretrain" and model_config.mask_ratio == 0.0:
-        raise TrainError("pre-training needs mask_ratio > 0")
+    if config.task == "pretrain":
+        if model_config.mask_ratio == 0.0:
+            raise TrainError("pre-training needs mask_ratio > 0")
+        num_visible(model_config.num_patches, model_config.mask_ratio)
+
+
+def require_records(manifest):
+    if not manifest.records:
+        raise TrainError("dataset is empty")
+
+
+def label_matrix(manifest, model_config):
+    """[N, A] float64 labels of a fine-tune manifest: occurrence bits for a
+    'detect' model, intensity levels for an 'intensity' one. Reads records
+    only; raises TrainError for an empty set, an AU-count mismatch or a
+    record without the task's labels."""
+    require_records(manifest)
+    if manifest.num_aus != model_config.num_aus:
+        raise TrainError(
+            f"manifest has {manifest.num_aus} action units, "
+            f"model expects {model_config.num_aus}")
+    kind = "occurrence" if model_config.task == "detect" else "intensity"
+    rows = []
+    for i, rec in enumerate(manifest.records):
+        row = getattr(rec, kind)
+        if row is None:
+            raise TrainError(f"record {i} has no {kind} labels; "
+                             f"task {model_config.task!r} needs them")
+        rows.append(row)
+    return np.stack(rows).astype(np.float64)
+
+
+def start_run(model_config, config, init_from=None):
+    """Fresh RunState; `init_from` loads encoder weights from a checkpoint
+    produced by the pre-training stage (everything else re-initialized)."""
+    check_stage(model_config, config)
     streams = fresh_streams(config.seed)
     if init_from is not None:
         weights = load_encoder_only(init_from, model_config, streams["init"])
@@ -312,8 +346,7 @@ def pretrain_loop(run, corpus, until_epoch=None):
     config = run.config
     if config.task != "pretrain":
         raise TrainError(f"pretrain_loop needs task 'pretrain', got {config.task!r}")
-    if len(corpus) == 0:
-        raise TrainError("dataset is empty")
+    require_records(corpus.manifest)
     cfg = run.weights.config
 
     def prepare(idx):
@@ -339,34 +372,6 @@ def pretrain_loop(run, corpus, until_epoch=None):
     return _train(run, corpus, until_epoch, prepare, sample_loss)
 
 
-def _labels_for(rec, task, index):
-    if task == "detect":
-        if rec.occurrence is None:
-            raise TrainError(
-                f"record {index} has no occurrence labels; task 'detect' needs them")
-        return AULabels(occurrence=rec.occurrence.copy())
-    if rec.intensity is None:
-        raise TrainError(
-            f"record {index} has no intensity labels; task 'intensity' needs them")
-    return AULabels(intensity=rec.intensity.copy())
-
-
-def _check_finetune_corpus(corpus, weights, task):
-    if len(corpus) == 0:
-        raise TrainError("dataset is empty")
-    if corpus.manifest.num_aus != weights.config.num_aus:
-        raise TrainError(
-            f"manifest has {corpus.manifest.num_aus} action units, "
-            f"model expects {weights.config.num_aus}")
-    for i, rec in enumerate(corpus.manifest.records):
-        _labels_for(rec, task, i)
-
-
-def _smooth(labels, eps):
-    return [AULabels(occurrence=l.occurrence * (1.0 - eps) + 0.5 * eps,
-                     intensity=l.intensity) for l in labels]
-
-
 def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None):
     """Supervised stage on all patches (no masking). Detection mixes batches
     with mixup/cutmix; intensity uses neither. Returns (trace rows, list of
@@ -375,10 +380,10 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None):
     task = config.task
     if task not in ("detect", "intensity"):
         raise TrainError(f"finetune_loop needs a fine-tune task, got {task!r}")
-    _check_finetune_corpus(corpus, run.weights, task)
+    cfg = run.weights.config
+    label_rows = label_matrix(corpus.manifest, cfg)
     if config.eval_every > 0 and eval_corpus is None:
         raise TrainError("eval_every > 0 needs a held-out eval corpus")
-    cfg = run.weights.config
     use_aug = config.randaug_prob > 0 and config.randaug_magnitude > 0
     hook = None
     # frozen encoder means a deterministic feature extractor: no drop path
@@ -389,7 +394,7 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None):
 
     def prepare(idx):
         imgs = [to_float(corpus.images[i]) for i in idx]
-        labels = [_labels_for(corpus.manifest.records[i], task, i) for i in idx]
+        labels = label_rows[idx]
         if use_aug:
             imgs = [randaug_light(im, config.randaug_magnitude,
                                   config.randaug_prob, run.streams["augment"])
@@ -405,8 +410,8 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None):
                 else:
                     batch, labels, _ = cutmix(batch, labels, config.cutmix_alpha, mix)
             imgs = list(batch)
-            if config.label_smoothing > 0:
-                labels = _smooth(labels, config.label_smoothing)
+            eps = config.label_smoothing
+            labels = labels * (1.0 - eps) + 0.5 * eps
         return [(patchify(np.asarray(img), cfg.patch_size), lab)
                 for img, lab in zip(imgs, labels)]
 
@@ -414,8 +419,8 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None):
         patches, lab = sample
         logits = classifier_forward(run.weights, patches, hook)
         if task == "detect":
-            return loss_detection(logits, lab)
-        return loss_intensity(ng.sigmoid(logits), lab)
+            return loss_detection(logits, AULabels(occurrence=lab))
+        return loss_intensity(ng.sigmoid(logits), AULabels(intensity=lab))
 
     reports = []
 
@@ -433,22 +438,16 @@ def evaluate(weights, corpus, threshold=0.5):
     cfg = weights.config
     if cfg.task not in ("detect", "intensity"):
         raise TrainError(f"evaluate needs a fine-tune model, got {cfg.task!r}")
-    _check_finetune_corpus(corpus, weights, cfg.task)
+    gts = label_matrix(corpus.manifest, cfg)
     au_names = corpus.manifest.au_names
-    preds, gts = [], []
-    for img, rec in zip(corpus.images, corpus.manifest.records):
-        patches = patchify(to_float(img), cfg.patch_size)
-        logits = classifier_forward(weights, patches)
-        scores = ng.sigmoid(logits).data
-        if cfg.task == "detect":
-            preds.append((scores >= threshold).astype(np.int64))
-            gts.append(rec.occurrence.astype(np.int64))
-        else:
-            preds.append(denormalize_intensity(scores))
-            gts.append(rec.intensity.astype(np.float64))
+    scores = []
+    for img in corpus.images:
+        logits = classifier_forward(weights, patchify(to_float(img), cfg.patch_size))
+        scores.append(ng.sigmoid(logits).data)
+    scores = np.stack(scores)
     if cfg.task == "detect":
-        return f1_scores(np.stack(preds), np.stack(gts), au_names=au_names)
-    return intensity_report(np.stack(preds), np.stack(gts), au_names=au_names)
+        return f1_scores((scores >= threshold).astype(np.int64), gts, au_names=au_names)
+    return intensity_report(denormalize_intensity(scores), gts, au_names=au_names)
 
 
 # ---------------------------------------------------------------------------

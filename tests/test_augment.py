@@ -6,7 +6,6 @@ import pytest
 from faceau import ndgrad as ng
 from faceau.augment import (RANDAUG_OPS, cutmix, drop_path, mixup,
                             randaug_light, random_crop_resize)
-from faceau.losses import AULabels
 from faceau.ndgrad import Tensor
 
 
@@ -28,7 +27,7 @@ class StubRng:
 
 
 def labels4(*rows):
-    return [AULabels(occurrence=np.asarray(r, dtype=float)) for r in rows]
+    return np.asarray(rows, dtype=float)
 
 
 # ---------------------------------------------------------------- drop_path
@@ -112,8 +111,8 @@ def test_mixup_label_arithmetic_at_half():
     out, out_labs, lam = mixup(imgs, labs, alpha=1.0, rng=StubRng(beta_value=0.5))
     assert lam == 0.5
     assert np.allclose(out, 0.5)
-    assert np.allclose(out_labs[0].occurrence, [0.5, 0.0, 1.0, 0.5])
-    assert np.allclose(out_labs[1].occurrence, [0.5, 0.0, 1.0, 0.5])
+    assert np.allclose(out_labs[0], [0.5, 0.0, 1.0, 0.5])
+    assert np.allclose(out_labs[1], [0.5, 0.0, 1.0, 0.5])
 
 
 def test_mixup_pixels_are_convex_combination():
@@ -147,8 +146,8 @@ def test_cutmix_full_swap_when_region_covers_image():
                                  rng=StubRng(beta_value=0.0, center=4))
     assert frac == 1.0
     assert np.allclose(out[0], 0.9) and np.allclose(out[1], 0.2)
-    assert np.allclose(out_labs[0].occurrence, [0, 1, 0, 0])
-    assert np.allclose(out_labs[1].occurrence, [1, 0, 0, 0])
+    assert np.allclose(out_labs[0], [0, 1, 0, 0])
+    assert np.allclose(out_labs[1], [1, 0, 0, 0])
 
 
 class SwapRng:
@@ -179,8 +178,7 @@ def test_cutmix_label_weight_matches_counted_pixels():
         counted = float((out[0] == 1.0).sum()) / (h * w)
         assert counted == pytest.approx(frac, abs=1e-12)
         if frac > 0:
-            assert np.allclose(out_labs[0].occurrence,
-                               [(1 - frac), (1 - frac), frac, frac])
+            assert np.allclose(out_labs[0], [(1 - frac), (1 - frac), frac, frac])
 
 
 def test_cutmix_alpha_zero_is_identity():

@@ -3,6 +3,7 @@ determinism across re-runs, and resume behavior."""
 
 import argparse
 import binascii
+import dataclasses
 import json
 import os
 import struct
@@ -10,8 +11,10 @@ import struct
 import numpy as np
 import pytest
 
+import faceau.train
 from faceau import cli
-from faceau.data import load_corpus, read_image, read_manifest, to_float
+from faceau.data import (load_corpus, read_image, read_manifest, to_float,
+                         write_manifest)
 from faceau.model import patchify, sample_mask
 
 TINY_MODEL = [
@@ -53,6 +56,25 @@ def ft_dir(tmp_path_factory, corpus_dir):
                 "--manifest", str(corpus_dir / "manifest.jsonl"), "--fold", "0",
                 "--out", str(out), "--seed", "0"] + FT_FLAGS)
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def labels_dir(tmp_path_factory, corpus_dir):
+    """The corpus manifest without its occurrence bits, without its
+    intensity levels, and with no records, all on the corpus's images."""
+    out = tmp_path_factory.mktemp("labels")
+    manifest = read_manifest(str(corpus_dir / "manifest.jsonl"))
+    records = [dataclasses.replace(r, image_path=manifest.resolve(r))
+               for r in manifest.records]
+    variants = {
+        "no_occurrence": [dataclasses.replace(r, occurrence=None) for r in records],
+        "no_intensity": [dataclasses.replace(r, intensity=None) for r in records],
+        "empty": [],
+    }
+    for name, recs in variants.items():
+        write_manifest(dataclasses.replace(manifest, records=recs),
+                       str(out / f"{name}.jsonl"))
     return out
 
 
@@ -325,8 +347,10 @@ def test_divergence_is_numerical_error(tmp_path, corpus_dir, capsys):
 # rejected runs: every check runs before --out is created
 
 
-def _manifest(p):
-    return str(p["corpus"] / "manifest.jsonl")
+def _manifest(p, labels=None):
+    if labels is None:
+        return str(p["corpus"] / "manifest.jsonl")
+    return str(p["labels"] / f"{labels}.jsonl")
 
 
 def _finetune(p, *flags, init="scratch"):
@@ -382,11 +406,30 @@ def _reconstruct(p, ckpt, *ratios):
                             "--eval-manifest", _manifest(p), "--seed", "0",
                             "--norm-pix-target", "false"] + TINY_MODEL, 2,
                  id="ablate-norm-pix-target-flag"),
+    pytest.param(lambda p: ["finetune", "--task", "intensity", "--init", "scratch",
+                            "--manifest", _manifest(p), "--eval-manifest",
+                            _manifest(p, "no_intensity"), "--seed", "0"] + FT_FLAGS, 2,
+                 id="finetune-intensity-eval-without-intensity"),
+    pytest.param(lambda p: ["finetune", "--task", "detect", "--init", "scratch",
+                            "--manifest", _manifest(p, "no_occurrence"),
+                            "--seed", "0"] + FT_FLAGS, 2,
+                 id="finetune-detect-without-occurrence"),
+    pytest.param(lambda p: ["ablate-loss", "--manifest", _manifest(p, "no_occurrence"),
+                            "--eval-manifest", _manifest(p), "--seed", "0"] + TINY_MODEL, 2,
+                 id="ablate-train-without-occurrence"),
+    pytest.param(lambda p: ["pretrain", "--manifest", _manifest(p, "empty"),
+                            "--seed", "0"] + TINY_MODEL, 2,
+                 id="pretrain-header-only-manifest"),
+    pytest.param(lambda p: ["ablate-loss", "--manifest", _manifest(p),
+                            "--eval-manifest", _manifest(p), "--seed", "0",
+                            "--mask-ratio", "0"] + TINY_MODEL, 2,
+                 id="ablate-mask-ratio-zero"),
 ])
 def test_rejected_run_leaves_out_absent(tmp_path, corpus_dir, pre_dir, ft_dir,
-                                        capsys, argv, code):
+                                        labels_dir, capsys, argv, code):
     out = tmp_path / "out"
-    paths = {"corpus": corpus_dir, "pre": pre_dir, "ft": ft_dir}
+    paths = {"corpus": corpus_dir, "pre": pre_dir, "ft": ft_dir,
+             "labels": labels_dir}
     assert run(argv(paths) + ["--out", str(out)]) == code
     assert "error" in capsys.readouterr().err
     assert not out.exists()
@@ -442,6 +485,33 @@ def test_finetune_same_seed_same_checkpoint(tmp_path, corpus_dir, pre_dir):
                    + FT_FLAGS) == 0
         outs.append(out)
     assert (outs[0] / "model.ckpt").read_bytes() == (outs[1] / "model.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("epochs,eval_every,calls", [
+    ("2", "1", 2),  # the report at the last epoch is the final one
+    ("3", "2", 2),  # one periodic report, then the final weights
+    ("2", "0", 1),  # the final weights only
+])
+def test_finetune_scores_final_weights_once(tmp_path, corpus_dir, monkeypatch,
+                                            epochs, eval_every, calls):
+    scored = []
+    for module in (faceau.train, cli):
+        def counting(*args, _evaluate=module.evaluate, **kwargs):
+            scored.append(1)
+            return _evaluate(*args, **kwargs)
+        monkeypatch.setattr(module, "evaluate", counting)
+    manifest = str(corpus_dir / "manifest.jsonl")
+    out = tmp_path / "ft"
+    assert run(["finetune", "--task", "detect", "--init", "scratch",
+                "--manifest", manifest, "--eval-manifest", manifest,
+                "--out", str(out), "--seed", "0"] + FT_FLAGS
+               + ["--epochs", epochs, "--eval-every", eval_every]) == 0
+    assert len(scored) == calls
+    # metrics.csv is the report of the weights in model.ckpt
+    again = tmp_path / "ev"
+    assert run(["eval", "--checkpoint", str(out / "model.ckpt"),
+                "--manifest", manifest, "--out", str(again)]) == 0
+    assert (again / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
 
 def test_finetune_fraction_reports_subset(tmp_path, capsys):
