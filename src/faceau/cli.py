@@ -32,8 +32,8 @@ from .model import (CheckpointError, decoder_forward, encoder_forward,
                     sample_mask, save_weights, unpatchify)
 from .optim import NumericalError
 from .synth import synth_corpus, write_corpus
-from .train import (TrainError, check_stage, evaluate, finetune_loop,
-                    fresh_streams, label_matrix, load_run_state,
+from .train import (TrainError, check_stage, checkpoint_period, evaluate,
+                    finetune_loop, fresh_streams, label_matrix, load_run_state,
                     partial_protocol, pretrain_loop, protocol_epochs,
                     require_records, start_run, train_preset, write_trace)
 
@@ -145,9 +145,10 @@ def resolve_run(args, run=None):
     and ablate-loss. It reads --config and the flags (flag > file); starts
     from the model and train presets, or from the run state's two configs
     when resuming; builds the ModelConfig and TrainConfig of each stage;
-    checks the run-level arguments; and returns ([(model config, train
-    config) per stage], resolved.cfg values). It reads no manifest and
-    writes nothing."""
+    checks the run-level arguments; sets checkpoint_every, unless given, to
+    train.checkpoint_period of the epoch budget in effect; and returns
+    ([(model config, train config) per stage], resolved.cfg values). It
+    reads no manifest and writes nothing."""
     file_values = parse_config_file(args.config) if args.config else {}
     given = _resolve_options(args, file_values, COMMAND_OPTIONS[args.command])
     model_over = {k: v for k, v in given.items() if k in MODEL_OPTIONS}
@@ -177,16 +178,21 @@ def resolve_run(args, run=None):
         preset_name = None  # every model field is in the snapshot anyway
         stages = [(run.weights.config,
                    dataclasses.replace(run.config, **stage_over[task]))]
-    if args.command == "finetune":
-        if args.fold is not None and args.eval_manifest:
-            raise ValueError("--fold and --eval-manifest are mutually exclusive")
+    if args.command != "ablate-loss":
         [(model_config, config)] = stages
-        if config.eval_every > 0 and args.fold is None and not args.eval_manifest:
-            raise TrainError("eval_every > 0 needs a held-out set: "
-                             "--fold or --eval-manifest")
-        if args.fraction is not None:
-            stages = [(model_config, dataclasses.replace(
-                config, epochs=protocol_epochs(args.fraction)))]
+        if args.command == "finetune":
+            if args.fold is not None and args.eval_manifest:
+                raise ValueError("--fold and --eval-manifest are mutually exclusive")
+            if config.eval_every > 0 and args.fold is None and not args.eval_manifest:
+                raise TrainError("eval_every > 0 needs a held-out set: "
+                                 "--fold or --eval-manifest")
+            if args.fraction is not None:
+                config = dataclasses.replace(
+                    config, epochs=protocol_epochs(args.fraction))
+        if "checkpoint_every" not in given:
+            config = dataclasses.replace(
+                config, checkpoint_every=checkpoint_period(config.epochs))
+        stages = [(model_config, config)]
     for model_config, config in stages:
         check_stage(model_config, config)
 
@@ -330,6 +336,7 @@ def cmd_eval(args):
         raise TrainError("checkpoint holds a pre-training model; evaluation "
                          "needs a fine-tuned detect or intensity model")
     manifest = read_manifest(args.manifest)
+    label_matrix(manifest, weights.config)
     corpus = load_corpus(manifest)
     report = evaluate(weights, corpus, threshold=args.threshold)
     out = open_out(args, {"checkpoint": args.checkpoint,

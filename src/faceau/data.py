@@ -120,7 +120,8 @@ class SampleRecord:
             if self.occurrence.size != num_aus:
                 raise ManifestError(
                     f"{where}occurrence has {self.occurrence.size} values, expected {num_aus}")
-            if not np.isin(self.occurrence, (0, 1)).all():
+            occ = self.occurrence
+            if not ((occ == 0) | (occ == 1)).all():
                 raise ManifestError(f"{where}occurrence bits must be 0 or 1")
         if self.intensity is not None:
             if self.intensity.size != num_aus:
@@ -152,9 +153,10 @@ class Manifest:
         return list(seen)
 
     def validate(self):
+        """Reject a repeated (subject, frame) pair; each record's own fields
+        are checked once, where read_manifest parses its line."""
         pairs = set()
         for i, rec in enumerate(self.records):
-            rec.validate(self.num_aus)
             key = (rec.subject, rec.frame)
             if key in pairs:
                 raise ManifestError(f"duplicate (subject, frame) pair {key} at record {i}")

@@ -451,11 +451,13 @@ _MALFORMED = (LookupError, TypeError, ValueError, ArithmeticError, RecursionErro
 def write_container(path, magic, meta, arrays):
     """Write (key, ndarray) pairs as float32 under `meta`, atomically: the
     file is built beside `path` and renamed over it, so a reader never sees
-    half a checkpoint."""
-    table, blob = [], bytearray()
+    half a checkpoint. The array table is laid out from the shapes alone and
+    each array goes to the file as it is, so no whole-file copy is made."""
+    arrays = list(arrays)
+    table, blob_len = [], 0
     for key, arr in arrays:
-        table.append((key, arr.shape, len(blob)))
-        blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        table.append((key, arr.shape, blob_len))
+        blob_len += 4 * arr.size
     binary_table = b""
     if magic == WEIGHTS_MAGIC:
         binary_table += struct.pack("<I", len(table))
@@ -467,12 +469,19 @@ def write_container(path, magic, meta, arrays):
         meta = dict(meta, arrays=[{"key": key, "shape": list(shape), "offset": offset}
                                   for key, shape, offset in table])
     meta_json = json.dumps(meta, sort_keys=True).encode()
-    body = (magic + struct.pack("<II", _VERSION, len(meta_json)) + meta_json
-            + binary_table + struct.pack("<Q", len(blob)) + blob)
+    header = (magic + struct.pack("<II", _VERSION, len(meta_json)) + meta_json
+              + binary_table + struct.pack("<Q", blob_len))
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF))
+            fh.write(header)
+            crc = binascii.crc32(header)
+            for _, arr in arrays:
+                # a flat uint8 view: len() of each write is its byte count
+                chunk = np.ascontiguousarray(arr, dtype="<f4").reshape(-1).view(np.uint8)
+                fh.write(chunk)
+                crc = binascii.crc32(chunk, crc)
+            fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -505,7 +514,7 @@ def read_container(path, magic, decode):
     malformed, in the frame or in what `decode` builds from the meta,
     raises CheckpointError."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = memoryview(fh.read())  # slices below are views, not copies
     if len(raw) < 12:
         raise CheckpointError(f"{path}: file too small to be a checkpoint")
     body, trailer = raw[:-4], raw[-4:]
@@ -518,11 +527,11 @@ def read_container(path, magic, decode):
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}, expected {_VERSION}")
     try:
-        meta = json.loads(r.take(r.u("<I")).decode())
+        meta = json.loads(bytes(r.take(r.u("<I"))).decode())
         if magic == WEIGHTS_MAGIC:
             table = []
             for _ in range(r.u("<I")):
-                name = r.take(r.u("<H")).decode()
+                name = bytes(r.take(r.u("<H"))).decode()
                 shape = tuple(r.u("<I") for _ in range(r.u("<B")))
                 table.append((name, shape, r.u("<Q")))
         else:

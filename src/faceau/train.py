@@ -249,6 +249,17 @@ def start_run(model_config, config, init_from=None):
                     streams=streams)
 
 
+# the default run-state writes per run: a run of E epochs checkpoints every
+# checkpoint_period(E) epochs and at its last, so a 20000-epoch sparse-frames
+# run writes 20 states, not 20000
+RUN_STATE_WRITES = 20
+
+
+def checkpoint_period(epochs):
+    """Default checkpoint_every of a run of `epochs` epochs."""
+    return max(1, math.ceil(epochs / RUN_STATE_WRITES))
+
+
 # ---------------------------------------------------------------------------
 # run state: the "MAET" container of faceau.model
 #

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+import faceau.data
 import faceau.train
 from faceau import cli
 from faceau.data import (load_corpus, read_image, read_manifest, to_float,
@@ -250,6 +251,57 @@ def test_pretrain_resume_matches_uninterrupted(tmp_path, corpus_dir, pre_dir):
     assert lines[0] == "step,epoch,lr,loss"
     steps = [int(row.split(",")[0]) for row in lines[1:]]
     assert steps == list(range(6))  # contiguous across the restart
+
+
+def _pretrain_21(corpus_dir, out, *flags):
+    return run(["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                "--out", str(out), "--seed", "0", "--epochs", "21"]
+               + TINY_MODEL + TINY_TRAIN[2:] + list(flags))
+
+
+def test_run_state_writes_are_bounded(tmp_path, corpus_dir, monkeypatch):
+    epochs = []
+
+    def counting(path, state, _save=faceau.train.save_run_state):
+        _save(path, state)
+        epochs.append(state.epoch)
+    monkeypatch.setattr(faceau.train, "save_run_state", counting)
+    assert _pretrain_21(corpus_dir, tmp_path / "a") == 0
+    # ceil(21 / 20) = 2: every second epoch, and the last one always
+    assert epochs == list(range(2, 21, 2)) + [21]
+    cfg = (tmp_path / "a" / "resolved.cfg").read_text().splitlines()
+    assert "checkpoint_every = 2" in cfg
+    epochs.clear()
+    assert _pretrain_21(corpus_dir, tmp_path / "b", "--checkpoint-every", "1") == 0
+    assert epochs == list(range(1, 22))
+
+
+class _Killed(BaseException):
+    """Stands for the process dying; main's error handlers let it through."""
+
+
+def test_run_stopped_after_a_write_resumes_bitwise(tmp_path, corpus_dir,
+                                                   monkeypatch):
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    assert _pretrain_21(corpus_dir, whole) == 0
+    epochs = []
+
+    def dying(path, state, _save=faceau.train.save_run_state):
+        _save(path, state)
+        epochs.append(state.epoch)
+        if len(epochs) == 3:
+            raise _Killed
+    monkeypatch.setattr(faceau.train, "save_run_state", dying)
+    with pytest.raises(_Killed):
+        _pretrain_21(corpus_dir, cut)
+    assert epochs == [2, 4, 6]
+    state = cut / "run_state.bin"
+    assert faceau.train.load_run_state(str(state)).epoch == 6
+    assert not (cut / "model.ckpt").exists()
+    monkeypatch.undo()
+    assert run(["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                "--out", str(cut), "--resume", str(state)]) == 0
+    assert (cut / "model.ckpt").read_bytes() == (whole / "model.ckpt").read_bytes()
 
 
 def test_pretrain_requires_seed(tmp_path, corpus_dir, capsys):
@@ -593,6 +645,24 @@ def test_eval_rejects_pretrain_checkpoint(tmp_path, corpus_dir, pre_dir, capsys)
                 "--out", str(tmp_path / "x")])
     assert code == 2
     assert "pre-training" in capsys.readouterr().err
+
+
+def test_eval_checks_labels_before_decoding(tmp_path, ft_dir, labels_dir,
+                                           monkeypatch, capsys):
+    decoded = []
+
+    def counting(path, _read=faceau.data.read_image):
+        decoded.append(path)
+        return _read(path)
+    monkeypatch.setattr(faceau.data, "read_image", counting)
+    out = tmp_path / "x"
+    code = run(["eval", "--checkpoint", str(ft_dir / "model.ckpt"),
+                "--manifest", str(labels_dir / "no_occurrence.jsonl"),
+                "--out", str(out)])
+    assert code == 2
+    assert "occurrence" in capsys.readouterr().err
+    assert decoded == []
+    assert not out.exists()
 
 
 def test_eval_corrupt_checkpoint_is_data_error(tmp_path, corpus_dir, pre_dir,

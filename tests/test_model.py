@@ -517,6 +517,44 @@ def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
     load_weights(path)
 
 
+def test_container_is_written_one_array_at_a_time(tmp_path, monkeypatch):
+    writes = []
+
+    class Counting:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            writes.append(len(data))
+            if fail_at is not None and len(writes) == fail_at:
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(mdl, "open", lambda *a: Counting(open(*a)), raising=False)
+    weights = init_weights(tiny_config(), np.random.default_rng(0))
+    path = tmp_path / "model.ckpt"
+    fail_at = None
+    save_weights(weights, path)
+    # header, each array, CRC trailer: nothing is written twice
+    assert sum(writes) == path.stat().st_size
+    assert len(writes) == len(weights.params) + 2
+    assert writes[-1] == 4
+    old = path.read_bytes()
+    writes.clear()
+    fail_at = 3  # after the header and the first array are on disk
+    with pytest.raises(OSError):
+        save_weights(init_weights(tiny_config(), np.random.default_rng(1)), path)
+    assert len(writes) == 3
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
 def test_desk_sample_tape_sizes():
     # one training sample as the training loop records it: forward, loss
     # and the sample's share of the batch mean, on fused ops
