@@ -27,15 +27,16 @@ from .data import (ImageFormatError, ManifestError, align_face, load_corpus,
                    to_uint8, write_image, write_manifest)
 from .losses import denormalize_patches, patch_normalize
 from .metrics import kfold_by_subject, label_stats, split_by_fold
-from .model import (CheckpointError, decoder_forward, encoder_forward,
-                    full_plan, load_weights, patchify, preset,
+from .model import (CheckpointError, ModelConfig, decoder_forward,
+                    encoder_forward, full_plan, load_weights, patchify, preset,
                     sample_mask, save_weights, unpatchify)
 from .optim import NumericalError
 from .synth import synth_corpus, write_corpus
-from .train import (TrainError, check_stage, checkpoint_period, evaluate,
-                    finetune_loop, fresh_streams, label_matrix, load_run_state,
-                    partial_protocol, pretrain_loop, protocol_epochs,
-                    require_records, start_run, train_preset, write_trace)
+from .train import (TrainConfig, TrainError, check_stage, checkpoint_period,
+                    evaluate, finetune_loop, fresh_streams, label_matrix,
+                    load_run_state, partial_protocol, pretrain_loop,
+                    protocol_epochs, require_records, start_run, train_preset,
+                    write_trace)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,23 +53,19 @@ def _parse_bool(raw):
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-# config-file / flag option tables; every key doubles as --key-with-dashes
-MODEL_OPTIONS = {
-    "image_size": int, "channels": int, "patch_size": int,
-    "enc_depth": int, "enc_width": int, "enc_heads": int,
-    "dec_depth": int, "dec_width": int, "dec_heads": int,
-    "mlp_ratio": float, "num_aus": int, "mask_ratio": float,
-    "norm_pix_target": _parse_bool,
-}
-TRAIN_OPTIONS = {
-    "epochs": int, "warmup_epochs": int, "base_lr": float, "batch_size": int,
-    "weight_decay": float, "min_lr": float, "drop_path_rate": float,
-    "mixup_alpha": float, "cutmix_alpha": float, "randaug_magnitude": int,
-    "randaug_prob": float, "label_smoothing": float, "reduction": str,
-    "eval_every": int, "checkpoint_every": int, "recon_loss": str,
-    "random_crop": _parse_bool, "crop_min_scale": float, "beta2": float,
-    "freeze_encoder": _parse_bool,
-}
+# config-file / flag option tables: one key per config field, cast by the
+# field's annotation; every key doubles as --key-with-dashes
+_CASTS = {"int": int, "float": float, "float | None": float, "str": str,
+          "bool": _parse_bool}
+
+
+def _options(config_class, skip=()):
+    return {f.name: _CASTS[f.type] for f in dataclasses.fields(config_class)
+            if f.name not in ("task", *skip)}
+
+
+MODEL_OPTIONS = _options(ModelConfig)
+TRAIN_OPTIONS = _options(TrainConfig, skip=("seed", "checkpoint"))
 EXTRA_OPTIONS = {"seed": int, "model_preset": str}
 # ablate-loss keys with their defaults, each cast to its default's type
 ABLATE_DEFAULTS = {
@@ -81,8 +78,7 @@ COMMAND_OPTIONS = {
     "finetune": (MODEL_OPTIONS, TRAIN_OPTIONS, EXTRA_OPTIONS),
     # the ablation grid sets norm_pix_target itself
     "ablate-loss": (ABLATE_OPTIONS,
-                    {k: v for k, v in MODEL_OPTIONS.items()
-                     if k != "norm_pix_target"},
+                    _options(ModelConfig, skip=("norm_pix_target",)),
                     EXTRA_OPTIONS),
 }
 
@@ -211,13 +207,18 @@ def _format_value(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):
+        return ",".join(_format_value(item) for item in value)
     return str(value)
 
 
-def open_out(args, values, comments=()):
-    """Create --out and write its resolved.cfg. Every command calls this
-    once, after all of its inputs are read and checked, before any other
-    output."""
+def open_out(args, values=None, comments=()):
+    """Create --out and write its resolved.cfg: `values`, or else the parsed
+    arguments in parse order. Every command calls this once, after all of
+    its inputs are read and checked, before any other output."""
+    if values is None:
+        values = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "func", "out")}
     os.makedirs(args.out, exist_ok=True)
     lines = [f"# faceau {args.command}"]
     lines += [f"# {c}" for c in comments]
@@ -339,9 +340,7 @@ def cmd_eval(args):
     label_matrix(manifest, weights.config)
     corpus = load_corpus(manifest)
     report = evaluate(weights, corpus, threshold=args.threshold)
-    out = open_out(args, {"checkpoint": args.checkpoint,
-                          "manifest": args.manifest,
-                          "threshold": args.threshold})
+    out = open_out(args)
     _write_metrics(out, report)
     return EXIT_OK
 
@@ -384,6 +383,12 @@ def render_triptych(weights, image_u8, ratio, rng):
 
 
 def cmd_reconstruct(args):
+    ratios = args.mask_ratio
+    names = [f"triptych_{round(ratio * 100):03d}.ppm" for ratio in ratios]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"mask ratios {ratios[names.index(name)]!r} and "
+                             f"{ratios[i]!r} both write {name}")
     weights = load_weights(args.checkpoint)
     if weights.config.task != "pretrain":
         raise TrainError("reconstruction needs a pre-training checkpoint "
@@ -393,12 +398,10 @@ def cmd_reconstruct(args):
     # rendering every panel first checks each ratio and the image before
     # --out exists
     triptychs = [render_triptych(weights, image, ratio, rng)
-                 for ratio in args.mask_ratio]
-    out = open_out(args, {"checkpoint": args.checkpoint, "image": args.image,
-                          "mask_ratio": ",".join(repr(r) for r in args.mask_ratio),
-                          "seed": args.seed})
-    for ratio, triptych in zip(args.mask_ratio, triptychs):
-        path = os.path.join(out, f"triptych_{round(ratio * 100):03d}.ppm")
+                 for ratio in ratios]
+    out = open_out(args)
+    for name, triptych in zip(names, triptychs):
+        path = os.path.join(out, name)
         write_image(triptych, path)
         print(f"wrote {path}")
     return EXIT_OK
@@ -408,10 +411,21 @@ def cmd_reconstruct(args):
 # dataset tooling
 
 
+def _refuse_overwrite(outputs, manifest_path, manifest):
+    """Reject a run that would write over its manifest or one of the images
+    the manifest lists."""
+    inputs = {os.path.realpath(p) for p in
+              [manifest_path, *map(manifest.resolve, manifest.records)]}
+    for path in outputs:
+        if os.path.realpath(path) in inputs:
+            raise ValueError(f"{path} is one of this command's inputs; "
+                             "choose another --out")
+
+
 def cmd_stats(args):
     manifest = read_manifest(args.manifest)
     stats = label_stats(manifest)
-    out = open_out(args, {"manifest": args.manifest})
+    out = open_out(args)
     path = os.path.join(out, "stats.csv")
     with open(path, "w") as fh:
         fh.write(stats.to_csv())
@@ -428,10 +442,7 @@ def cmd_synth(args):
                           image_size=args.image_size,
                           num_aus=args.num_aus,
                           num_subjects=args.num_subjects)
-    out = open_out(args, {"seed": args.seed, "count": args.count,
-                          "image_size": args.image_size,
-                          "num_subjects": args.num_subjects,
-                          "num_aus": args.num_aus})
+    out = open_out(args)
     path = write_corpus(corpus, out)
     print(f"wrote {len(corpus.images)} images + {path}")
     return EXIT_OK
@@ -440,7 +451,9 @@ def cmd_synth(args):
 def cmd_subsample(args):
     manifest = read_manifest(args.manifest)
     subset = subsample_every_n(manifest, args.n)
-    out = open_out(args, {"manifest": args.manifest, "n": args.n})
+    _refuse_overwrite([os.path.join(args.out, "manifest.jsonl")],
+                      args.manifest, manifest)
+    out = open_out(args)
     # emitted records must keep pointing at the original images
     rewritten = [
         dataclasses.replace(
@@ -460,6 +473,14 @@ def cmd_align(args):
     for i, rec in enumerate(manifest.records):
         if rec.landmarks is None:
             raise ManifestError(f"record {i} has no landmarks; cannot align")
+        # each aligned image goes to its record's path under --out
+        if (os.path.isabs(rec.image_path)
+                or os.path.normpath(rec.image_path).split(os.sep)[0] == ".."):
+            raise ManifestError(f"record {i} image {rec.image_path!r} is not "
+                                "inside the manifest's directory; cannot align")
+    paths = [os.path.join(args.out, rec.image_path) for rec in manifest.records]
+    _refuse_overwrite(paths + [os.path.join(args.out, "manifest.jsonl")],
+                      args.manifest, manifest)
     corpus = load_corpus(manifest)
     records, images = [], []
     for rec, image in zip(manifest.records, corpus.images):
@@ -467,9 +488,10 @@ def cmd_align(args):
                                      rec.landmarks[1], rec.landmarks)
         images.append(to_uint8(np.clip(aligned, 0.0, 1.0)))
         records.append(dataclasses.replace(rec, landmarks=np.maximum(points, 0.0)))
-    out = open_out(args, {"manifest": args.manifest})
-    for rec, image in zip(records, images):
-        write_image(image, os.path.join(out, rec.image_path))
+    out = open_out(args)
+    for path, image in zip(paths, images):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_image(image, path)
     aligned_manifest = dataclasses.replace(manifest, records=records, base_dir=out)
     path = os.path.join(out, "manifest.jsonl")
     write_manifest(aligned_manifest, path)
@@ -480,8 +502,7 @@ def cmd_align(args):
 def cmd_kfold(args):
     manifest = read_manifest(args.manifest)
     assignment = kfold_by_subject(manifest, args.k, args.seed)
-    out = open_out(args, {"manifest": args.manifest, "k": args.k,
-                          "seed": args.seed})
+    out = open_out(args)
     sizes = [sum(1 for f in assignment.values() if f == i) for i in range(args.k)]
     path = os.path.join(out, "folds.json")
     with open(path, "w") as fh:

@@ -100,13 +100,9 @@ _PRESETS = {
         dec_depth=8, dec_width=512, dec_heads=16,
         mlp_ratio=4.0, num_aus=12, mask_ratio=0.75,
     ),
-    # CPU-sized twin for tests and the synthetic corpus
-    "desk": dict(
-        image_size=32, channels=1, patch_size=4,
-        enc_depth=4, enc_width=128, enc_heads=4,
-        dec_depth=2, dec_width=64, dec_heads=4,
-        mlp_ratio=4.0, num_aus=4, mask_ratio=0.75,
-    ),
+    # CPU-sized twin for tests and the synthetic corpus: the ModelConfig
+    # defaults
+    "desk": {},
 }
 
 
@@ -114,9 +110,7 @@ def preset(name, **overrides):
     """Named ModelConfig preset ('full' or 'desk'), with field overrides."""
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}, expected one of {sorted(_PRESETS)}")
-    fields = dict(_PRESETS[name])
-    fields.update(overrides)
-    return ModelConfig(**fields)
+    return ModelConfig(**{**_PRESETS[name], **overrides})
 
 
 # ---------------------------------------------------------------------------

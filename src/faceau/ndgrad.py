@@ -35,13 +35,8 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with the requested operation."""
 
 
-class DomainError(ValueError):
-    """Input outside an op's numeric domain (debug mode only)."""
-
-
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _default_dtype = np.float32
-_debug = False
 
 
 def default_dtype():
@@ -62,12 +57,6 @@ def precision(name):
         _default_dtype = saved
 
 
-def set_debug(flag):
-    """Enable NaN/Inf and domain assertions on every op."""
-    global _debug
-    _debug = bool(flag)
-
-
 class Tensor:
     """Dense row-major array with an optional gradient buffer.
 
@@ -83,8 +72,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        if _debug and not np.isfinite(arr).all():
-            raise DomainError("tensor holds non-finite values")
 
     @property
     def shape(self):
@@ -164,8 +151,6 @@ def _result(arr, inputs, backward, name):
     out.data = arr
     out.requires_grad = builtins.any(t.requires_grad for t in inputs)
     out.grad = None
-    if _debug and not np.isfinite(arr).all():
-        raise DomainError(f"{name} produced non-finite values")
     if _tape_stack and out.requires_grad:
         _tape_stack[-1].record(out, inputs, backward, name)
     return out

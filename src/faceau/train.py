@@ -27,7 +27,7 @@ from .data import to_float, subsample_every_n
 from .losses import (AULabels, denormalize_intensity, loss_detection,
                      loss_intensity, loss_pretrain, patch_normalize, raw_targets)
 from .metrics import f1_scores, intensity_report
-from .model import (ENCODER_PREFIXES, RUN_STATE_MAGIC, CheckpointError,
+from .model import (ENCODER_PREFIXES, RUN_STATE_MAGIC, TASKS, CheckpointError,
                     ModelConfig, ModelWeights, build_weights, classifier_forward,
                     decoder_forward, encoder_forward, init_weights,
                     load_encoder_only, match_arrays, num_visible, param_shapes,
@@ -70,7 +70,7 @@ class TrainConfig:
     freeze_encoder: bool = False
 
     def __post_init__(self):
-        if self.task not in ("pretrain", "detect", "intensity"):
+        if self.task not in TASKS:
             raise TrainError(f"unknown task {self.task!r}")
         if self.epochs < 1:
             raise TrainError(f"epochs must be >= 1, got {self.epochs}")
@@ -109,20 +109,18 @@ class TrainConfig:
 
 _TRAIN_PRESETS = {
     # reference recipes at full scale; override freely for desk-sized runs
+    # (the task is the preset's name; weight_decay and beta2 are TrainConfig's)
     "pretrain": dict(
-        task="pretrain", epochs=800, warmup_epochs=40, base_lr=1.5e-4,
-        batch_size=4096, weight_decay=0.05, beta2=0.95,
+        epochs=800, warmup_epochs=40, base_lr=1.5e-4, batch_size=4096,
         recon_loss="L1", random_crop=True,
     ),
     "detect": dict(
-        task="detect", epochs=20, warmup_epochs=10, base_lr=1e-4,
-        batch_size=512, weight_decay=0.05, beta2=0.999,
+        epochs=20, warmup_epochs=10, base_lr=1e-4, batch_size=512,
         drop_path_rate=0.1, randaug_magnitude=9, randaug_prob=0.5,
         mixup_alpha=0.2, cutmix_alpha=0.75,
     ),
     "intensity": dict(
-        task="intensity", epochs=20, warmup_epochs=10, base_lr=3e-5,
-        batch_size=512, weight_decay=0.05, beta2=0.999,
+        epochs=20, warmup_epochs=10, base_lr=3e-5, batch_size=512,
         drop_path_rate=0.1, randaug_magnitude=9, randaug_prob=0.5,
     ),
 }
@@ -131,9 +129,7 @@ def train_preset(name, **overrides):
     """Named TrainConfig preset ('pretrain', 'detect', 'intensity')."""
     if name not in _TRAIN_PRESETS:
         raise TrainError(f"unknown preset {name!r}, expected one of {sorted(_TRAIN_PRESETS)}")
-    fields = dict(_TRAIN_PRESETS[name])
-    fields.update(overrides)
-    return TrainConfig(**fields)
+    return TrainConfig(**{"task": name, **_TRAIN_PRESETS[name], **overrides})
 
 
 # ---------------------------------------------------------------------------

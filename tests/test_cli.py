@@ -6,11 +6,16 @@ import binascii
 import dataclasses
 import json
 import os
+import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import faceau
 import faceau.data
 import faceau.train
 from faceau import cli
@@ -209,6 +214,95 @@ def test_align_roundtrips_through_loader(tmp_path, corpus_dir):
         assert np.all(rec.landmarks >= 0.0)
 
 
+def test_tooling_snapshots_record_their_arguments(tmp_path, corpus_dir,
+                                                  pre_dir, ft_dir):
+    m = str(corpus_dir / "manifest.jsonl")
+    image = str(corpus_dir / "img_00000.pgm")
+    pre, ft = str(pre_dir / "model.ckpt"), str(ft_dir / "model.ckpt")
+    cases = {
+        "eval": (["--checkpoint", ft, "--manifest", m],
+                 [f"checkpoint = {ft}", f"manifest = {m}", "threshold = 0.5"]),
+        "reconstruct": (["--checkpoint", pre, "--image", image,
+                         "--mask-ratio", "0.5", "0.75", "--seed", "3"],
+                        [f"checkpoint = {pre}", f"image = {image}",
+                         "mask_ratio = 0.5,0.75", "seed = 3"]),
+        "stats": (["--manifest", m], [f"manifest = {m}"]),
+        "synth": (["--seed", "2", "--count", "3", "--image-size", "16"],
+                  ["seed = 2", "count = 3", "image_size = 16",
+                   "num_subjects = 10", "num_aus = 4"]),
+        "subsample": (["--manifest", m, "--n", "2"], [f"manifest = {m}", "n = 2"]),
+        "align": (["--manifest", m], [f"manifest = {m}"]),
+        "kfold": (["--manifest", m, "--k", "3", "--seed", "1"],
+                  [f"manifest = {m}", "k = 3", "seed = 1"]),
+    }
+    for command, (flags, values) in cases.items():
+        out = tmp_path / command
+        assert run([command, *flags, "--out", str(out)]) == 0
+        lines = (out / "resolved.cfg").read_text().splitlines()
+        assert lines == [f"# faceau {command}", "config_version = 1", *values]
+
+
+def _small_corpus(tmp_path):
+    data = tmp_path / "d"
+    assert run(["synth", "--seed", "2", "--count", "6", "--num-subjects", "3",
+                "--image-size", "16", "--out", str(data)]) == 0
+    return data
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _edit_image_path(data, index, new_path):
+    manifest = read_manifest(str(data / "manifest.jsonl"))
+    records = list(manifest.records)
+    records[index] = dataclasses.replace(records[index], image_path=new_path)
+    write_manifest(dataclasses.replace(manifest, records=records),
+                   str(data / "manifest.jsonl"))
+
+
+@pytest.mark.parametrize("command", [["subsample", "--n", "3"], ["align"]])
+def test_tooling_refuses_to_write_over_its_inputs(tmp_path, command, capsys):
+    data = _small_corpus(tmp_path)
+    before = _tree(data)
+    assert run([command[0], "--manifest", str(data / "manifest.jsonl"),
+                *command[1:], "--out", str(data)]) == 2
+    assert "one of this command's inputs" in capsys.readouterr().err
+    assert _tree(data) == before  # no resolved.cfg either
+
+
+@pytest.mark.parametrize("outside", [
+    pytest.param(lambda data, name: str(data / name), id="absolute"),
+    pytest.param(lambda data, name: os.path.join("..", data.name, name),
+                 id="parent"),
+])
+def test_align_rejects_image_outside_manifest_dir(tmp_path, outside, capsys):
+    data = _small_corpus(tmp_path)
+    _edit_image_path(data, 1, outside(data, "img_00001.pgm"))
+    before = _tree(data)
+    out = tmp_path / "al"
+    assert run(["align", "--manifest", str(data / "manifest.jsonl"),
+                "--out", str(out)]) == 3
+    assert "record 1" in capsys.readouterr().err
+    assert _tree(data) == before
+    assert not out.exists()
+
+
+def test_align_writes_images_in_subdirectories(tmp_path):
+    data = _small_corpus(tmp_path)
+    (data / "sub").mkdir()
+    (data / "img_00001.pgm").rename(data / "sub" / "img_00001.pgm")
+    _edit_image_path(data, 1, "sub/img_00001.pgm")
+    before = _tree(data)
+    out = tmp_path / "al"
+    assert run(["align", "--manifest", str(data / "manifest.jsonl"),
+                "--out", str(out)]) == 0
+    assert _tree(data) == before
+    assert (out / "sub" / "img_00001.pgm").is_file()
+    assert len(load_corpus(read_manifest(str(out / "manifest.jsonl")))) == 6
+
+
 # ---------------------------------------------------------------------------
 # pretrain
 
@@ -251,6 +345,29 @@ def test_pretrain_resume_matches_uninterrupted(tmp_path, corpus_dir, pre_dir):
     assert lines[0] == "step,epoch,lr,loss"
     steps = [int(row.split(",")[0]) for row in lines[1:]]
     assert steps == list(range(6))  # contiguous across the restart
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # a desk-width pretrain in two processes, at one and at two OpenBLAS
+    # threads; both write into the same --out, which run_state.bin records
+    data = tmp_path / "data"
+    assert run(["synth", "--seed", "5", "--count", "8", "--out", str(data)]) == 0
+    out = tmp_path / "run"
+    src = str(Path(faceau.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = []
+    for threads in ("1", "2"):
+        shutil.rmtree(out, ignore_errors=True)
+        subprocess.run(
+            [sys.executable, "-m", "faceau.cli", "pretrain",
+             "--manifest", str(data / "manifest.jsonl"), "--out", str(out),
+             "--seed", "0", "--epochs", "2", "--warmup-epochs", "1",
+             "--batch-size", "4", "--random-crop", "true"],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            check=True, capture_output=True)
+        runs.append({name: (out / name).read_bytes()
+                     for name in ("model.ckpt", "trace.csv", "run_state.bin")})
+    assert runs[0] == runs[1]
 
 
 def _pretrain_21(corpus_dir, out, *flags):
@@ -821,6 +938,16 @@ def test_reconstruct_multiple_ratios_named_by_percent(tmp_path, corpus_dir,
                 "--seed", "7", "--out", str(out)]) == 0
     for name in ("triptych_025.ppm", "triptych_050.ppm", "triptych_090.ppm"):
         assert (out / name).exists()
+
+
+def test_reconstruct_rejects_ratios_sharing_a_file_name(tmp_path, corpus_dir,
+                                                       pre_dir, capsys):
+    out = tmp_path / "rc"
+    argv = _reconstruct({"corpus": corpus_dir}, pre_dir, "0.75", "0.751")
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "0.75 and 0.751 both write triptych_075.ppm" in err
+    assert not out.exists()
 
 
 def test_reconstruct_rejects_bad_ratio(tmp_path, corpus_dir, pre_dir, capsys):

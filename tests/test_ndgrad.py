@@ -9,7 +9,6 @@ import pytest
 
 from faceau import ndgrad as ng
 from faceau.ndgrad import (
-    DomainError,
     GradCheckReport,
     ShapeError,
     Tape,
@@ -206,22 +205,6 @@ def test_default_dtype_is_float32_and_precision_context_switches():
     assert z.data.dtype == np.float32
 
 
-def test_debug_mode_flags_non_finite_values():
-    big = np.array([1e30, 1.0])  # squares past float32's range
-    ng.set_debug(True)
-    try:
-        with pytest.raises(DomainError):
-            Tensor([np.nan, 1.0])
-        with pytest.raises(DomainError), np.errstate(over="ignore"):
-            ng.square(Tensor(big))
-    finally:
-        ng.set_debug(False)
-    # off by default: loud in debug only
-    with np.errstate(over="ignore"):
-        out = ng.square(Tensor(big))
-    assert np.isinf(out.data[0])
-
-
 def test_grad_check_report_fields():
     r = GradCheckReport(max_rel_error=2e-5, tol=1e-4, per_input=[2e-5])
     assert r.passed
@@ -381,7 +364,7 @@ def test_scatter_rows_rejects_bad_rows():
 OPS = {"add", "sub", "scale", "gelu", "sigmoid", "abs", "square", "sum", "mean",
        "linear", "attention", "bce_with_logits", "scatter_rows", "index_select",
        "layer_norm"}
-ENGINE = {"default_dtype", "precision", "set_debug", "tensor", "backward", "grad_check"}
+ENGINE = {"default_dtype", "precision", "tensor", "backward", "grad_check"}
 
 
 def test_op_set_is_what_the_program_calls():
