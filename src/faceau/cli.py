@@ -29,14 +29,14 @@ from .losses import denormalize_patches, patch_normalize
 from .metrics import kfold_by_subject, label_stats, split_by_fold
 from .model import (CheckpointError, ModelConfig, decoder_forward,
                     encoder_forward, full_plan, load_weights, patchify, preset,
-                    sample_mask, save_weights, unpatchify)
+                    sample_mask, save_weights, unpatchify, write_file)
 from .optim import NumericalError
 from .synth import synth_corpus, write_corpus
-from .train import (TrainConfig, TrainError, check_stage, checkpoint_period,
-                    evaluate, finetune_loop, fresh_streams, label_matrix,
-                    load_run_state, partial_protocol, pretrain_loop,
-                    protocol_epochs, require_records, start_run, train_preset,
-                    write_trace)
+from .train import (TrainConfig, TrainError, check_images, check_stage,
+                    checkpoint_period, evaluate, finetune_loop, fresh_streams,
+                    label_matrix, load_run_state, partial_protocol,
+                    pretrain_loop, protocol_epochs, require_records, start_run,
+                    train_preset, write_trace)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -225,9 +225,16 @@ def open_out(args, values=None, comments=()):
     lines.append("config_version = 1")
     lines += [f"{key} = {_format_value(value)}"
               for key, value in values.items() if value is not None]
-    with open(os.path.join(args.out, "resolved.cfg"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(os.path.join(args.out, "resolved.cfg"), ["\n".join(lines) + "\n"])
     return args.out
+
+
+def _load_checked(manifest, model_config):
+    """The manifest's decoded images, each checked against the model's input
+    shape, so a corpus the model cannot take fails before --out exists."""
+    corpus = load_corpus(manifest)
+    check_images(model_config, corpus.images, map(manifest.resolve, manifest.records))
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +249,7 @@ def cmd_pretrain(args):
         comments.append(f"resume = {args.resume}")
     manifest = read_manifest(args.manifest)
     require_records(manifest)
-    corpus = load_corpus(manifest)
+    corpus = _load_checked(manifest, model_config)
     if run is None:
         run = start_run(model_config, config)
     else:
@@ -270,11 +277,9 @@ def _parse_init(raw):
 
 def _write_metrics(out, report):
     csv_path = os.path.join(out, "metrics.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(report.to_csv())
+    write_file(csv_path, [report.to_csv()])
     table = report.to_table()
-    with open(os.path.join(out, "metrics.txt"), "w") as fh:
-        fh.write(table)
+    write_file(os.path.join(out, "metrics.txt"), [table])
     print(table, end="")
     return csv_path
 
@@ -291,6 +296,10 @@ def cmd_finetune(args):
     if args.eval_manifest:
         comments.append(f"eval_manifest = {args.eval_manifest}")
 
+    outputs = ("resolved.cfg", "trace.csv", "model.ckpt", "run_state.bin",
+               "metrics.csv", "metrics.txt")
+    _refuse_overwrite([os.path.join(args.out, name) for name in outputs],
+                      [p for p in (init_path, args.manifest, args.eval_manifest) if p])
     manifest = read_manifest(args.manifest)
     eval_manifest = None
     if args.fold is not None:
@@ -308,8 +317,8 @@ def cmd_finetune(args):
     for checked in (manifest, eval_manifest):
         if checked is not None:
             label_matrix(checked, model_config)
-    corpus = load_corpus(manifest)
-    eval_corpus = load_corpus(eval_manifest) if eval_manifest else None
+    corpus = _load_checked(manifest, model_config)
+    eval_corpus = _load_checked(eval_manifest, model_config) if eval_manifest else None
     run = start_run(model_config, config, init_from=init_path)
     out = open_out(args, values, comments)
     rows, reports = finetune_loop(run, corpus, eval_corpus=eval_corpus)
@@ -338,7 +347,7 @@ def cmd_eval(args):
                          "needs a fine-tuned detect or intensity model")
     manifest = read_manifest(args.manifest)
     label_matrix(manifest, weights.config)
-    corpus = load_corpus(manifest)
+    corpus = _load_checked(manifest, weights.config)
     report = evaluate(weights, corpus, threshold=args.threshold)
     out = open_out(args)
     _write_metrics(out, report)
@@ -354,12 +363,10 @@ def _gray_to_rgb(image):
 
 
 def render_triptych(weights, image_u8, ratio, rng):
-    """[masked | reconstruction | original] panels as one uint8 [3,H,3W]."""
+    """[masked | reconstruction | original] panels as one uint8 [3,H,3W], of
+    an image that check_images has passed."""
     cfg = weights.config
     img = to_float(image_u8)
-    want = (cfg.channels, cfg.image_size, cfg.image_size)
-    if img.shape != want:
-        raise ImageFormatError(f"image shape {img.shape} does not match model {want}")
     patches = patchify(img, cfg.patch_size)
     if ratio == 0.0:
         plan = full_plan(cfg.num_patches)
@@ -394,9 +401,9 @@ def cmd_reconstruct(args):
         raise TrainError("reconstruction needs a pre-training checkpoint "
                          f"(decoder); got task {weights.config.task!r}")
     image = read_image(args.image)
+    check_images(weights.config, [image], [args.image])
     rng = np.random.default_rng(args.seed)
-    # rendering every panel first checks each ratio and the image before
-    # --out exists
+    # rendering every panel first checks each ratio before --out exists
     triptychs = [render_triptych(weights, image, ratio, rng)
                  for ratio in ratios]
     out = open_out(args)
@@ -411,11 +418,9 @@ def cmd_reconstruct(args):
 # dataset tooling
 
 
-def _refuse_overwrite(outputs, manifest_path, manifest):
-    """Reject a run that would write over its manifest or one of the images
-    the manifest lists."""
-    inputs = {os.path.realpath(p) for p in
-              [manifest_path, *map(manifest.resolve, manifest.records)]}
+def _refuse_overwrite(outputs, inputs):
+    """Reject a run that would write one of its outputs over an input."""
+    inputs = {os.path.realpath(p) for p in inputs}
     for path in outputs:
         if os.path.realpath(path) in inputs:
             raise ValueError(f"{path} is one of this command's inputs; "
@@ -427,8 +432,7 @@ def cmd_stats(args):
     stats = label_stats(manifest)
     out = open_out(args)
     path = os.path.join(out, "stats.csv")
-    with open(path, "w") as fh:
-        fh.write(stats.to_csv())
+    write_file(path, [stats.to_csv()])
     for name, rate in zip(stats.au_names, stats.positive_rates):
         print(f"{name}: rate {rate:.4f}")
     print(f"{stats.num_combinations} combinations over {stats.num_records} "
@@ -452,7 +456,7 @@ def cmd_subsample(args):
     manifest = read_manifest(args.manifest)
     subset = subsample_every_n(manifest, args.n)
     _refuse_overwrite([os.path.join(args.out, "manifest.jsonl")],
-                      args.manifest, manifest)
+                      [args.manifest, *map(manifest.resolve, manifest.records)])
     out = open_out(args)
     # emitted records must keep pointing at the original images
     rewritten = [
@@ -480,7 +484,7 @@ def cmd_align(args):
                                 "inside the manifest's directory; cannot align")
     paths = [os.path.join(args.out, rec.image_path) for rec in manifest.records]
     _refuse_overwrite(paths + [os.path.join(args.out, "manifest.jsonl")],
-                      args.manifest, manifest)
+                      [args.manifest, *map(manifest.resolve, manifest.records)])
     corpus = load_corpus(manifest)
     records, images = [], []
     for rec, image in zip(manifest.records, corpus.images):
@@ -505,11 +509,9 @@ def cmd_kfold(args):
     out = open_out(args)
     sizes = [sum(1 for f in assignment.values() if f == i) for i in range(args.k)]
     path = os.path.join(out, "folds.json")
-    with open(path, "w") as fh:
-        json.dump({"format": "faceau-kfold", "version": 1, "k": args.k,
-                   "seed": args.seed, "folds": assignment}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    folds = {"format": "faceau-kfold", "version": 1, "k": args.k, "seed": args.seed,
+             "folds": assignment}
+    write_file(path, [json.dumps(folds, indent=2, sort_keys=True) + "\n"])
     print("fold sizes: " + "/".join(str(s) for s in sizes))
     print(f"wrote {path}")
     return EXIT_OK
@@ -537,8 +539,8 @@ def cmd_ablate_loss(args):
     eval_manifest = read_manifest(args.eval_manifest)
     for checked in (manifest, eval_manifest):
         label_matrix(checked, model_ft)
-    corpus = load_corpus(manifest)
-    eval_corpus = load_corpus(eval_manifest)
+    corpus = _load_checked(manifest, model_ft)
+    eval_corpus = _load_checked(eval_manifest, model_ft)
     order_hash = _data_order_hash(pre_cfg.seed, pre_cfg.epochs, len(corpus))
     out = open_out(args, values,
                    [f"manifest = {args.manifest}",
@@ -566,8 +568,7 @@ def cmd_ablate_loss(args):
         table.append((variant, rows[-1].loss, avg_f1))
 
     path = os.path.join(out, "ablation.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, ["\n".join(lines) + "\n"])
     width = max(len(v) for v, _, _ in table) + 2
     print("variant".ljust(width) + "pretrain_loss".rjust(15) + "avg_f1".rjust(9))
     for variant, loss, f1 in table:

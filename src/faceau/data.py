@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .model import write_file
+
 
 class ImageFormatError(ValueError):
     """File is not a binary PGM/PPM image this module can read."""
@@ -84,9 +86,8 @@ def write_image(image, path):
         raise ImageFormatError(f"expected uint8 pixels, got {image.dtype}")
     c, h, w = image.shape
     magic = b"P5" if c == 1 else b"P6"
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (w, h))
-        fh.write(np.ascontiguousarray(image.transpose(1, 2, 0)).tobytes())
+    write_file(path, [magic + b"\n%d %d\n255\n" % (w, h),
+                      np.ascontiguousarray(image.transpose(1, 2, 0)).tobytes()])
 
 
 def to_float(image):
@@ -216,10 +217,8 @@ def write_manifest(manifest, path):
         "au_names": manifest.au_names,
         "image_size": manifest.image_size,
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for rec in manifest.records:
-            fh.write(json.dumps(_record_to_obj(rec)) + "\n")
+    objs = [header, *map(_record_to_obj, manifest.records)]
+    write_file(path, (json.dumps(obj) + "\n" for obj in objs))
 
 
 def read_manifest(path):
@@ -235,9 +234,11 @@ def read_manifest(path):
         raise ManifestError(f"line 1: missing format marker {_HEADER_FORMAT!r}")
     if header.get("version") != _HEADER_VERSION:
         raise ManifestError(f"line 1: unsupported manifest version {header.get('version')!r}")
-    au_names = list(header.get("au_names") or [])
-    if not au_names:
-        raise ManifestError("line 1: header must list au_names")
+    au_names = header.get("au_names")
+    if not (isinstance(au_names, list) and au_names
+            and all(isinstance(name, str) for name in au_names)):
+        raise ManifestError("line 1: header must list au_names as a non-empty "
+                            "JSON list of strings")
     records = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():

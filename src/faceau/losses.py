@@ -75,11 +75,6 @@ class AULabels:
             if ((lv < 0) | (lv > 5) | (lv != np.round(lv))).any():
                 raise LossError(f"intensity levels must be integers in 0..5: {self.intensity}")
 
-    @property
-    def num_aus(self):
-        src = self.occurrence if self.occurrence is not None else self.intensity
-        return int(src.size)
-
 
 def loss_pretrain(pred, targets, plan, flavor="L1", reduction="mean"):
     """Reconstruction loss over MASKED patches only.

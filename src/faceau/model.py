@@ -442,11 +442,25 @@ _VERSION = 1
 _MALFORMED = (LookupError, TypeError, ValueError, ArithmeticError, RecursionError)
 
 
+def write_file(path, chunks):
+    """The program's one file writer: `chunks` (bytes, or str as UTF-8)
+    stream into `path.tmp`, renamed over `path` once whole; on any failure
+    the temp file goes and `path` keeps its old bytes."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_container(path, magic, meta, arrays):
-    """Write (key, ndarray) pairs as float32 under `meta`, atomically: the
-    file is built beside `path` and renamed over it, so a reader never sees
-    half a checkpoint. The array table is laid out from the shapes alone and
-    each array goes to the file as it is, so no whole-file copy is made."""
+    """Write (key, ndarray) pairs as float32 under `meta` through write_file;
+    the table is laid out from the shapes, so no whole-file copy is made."""
     arrays = list(arrays)
     table, blob_len = [], 0
     for key, arr in arrays:
@@ -465,22 +479,17 @@ def write_container(path, magic, meta, arrays):
     meta_json = json.dumps(meta, sort_keys=True).encode()
     header = (magic + struct.pack("<II", _VERSION, len(meta_json)) + meta_json
               + binary_table + struct.pack("<Q", blob_len))
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            crc = binascii.crc32(header)
-            for _, arr in arrays:
-                # a flat uint8 view: len() of each write is its byte count
-                chunk = np.ascontiguousarray(arr, dtype="<f4").reshape(-1).view(np.uint8)
-                fh.write(chunk)
-                crc = binascii.crc32(chunk, crc)
-            fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+
+    def chunks():
+        yield header
+        crc = binascii.crc32(header)
+        for _, arr in arrays:
+            # a flat uint8 view: len() of each chunk is its byte count
+            chunk = np.ascontiguousarray(arr, dtype="<f4").reshape(-1).view(np.uint8)
+            crc = binascii.crc32(chunk, crc)
+            yield chunk
+        yield struct.pack("<I", crc & 0xFFFFFFFF)
+    write_file(path, chunks())
 
 
 class _Reader:

@@ -13,7 +13,6 @@ run seed, which is what makes runs and resumes bit-exact. Run state is the
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import os
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import ndgrad as ng
 from .augment import cutmix, drop_path, mixup, randaug_light, random_crop_resize
-from .data import to_float, subsample_every_n
+from .data import ImageFormatError, to_float, subsample_every_n
 from .losses import (AULabels, denormalize_intensity, loss_detection,
                      loss_intensity, loss_pretrain, patch_normalize, raw_targets)
 from .metrics import f1_scores, intensity_report
@@ -31,7 +30,7 @@ from .model import (ENCODER_PREFIXES, RUN_STATE_MAGIC, TASKS, CheckpointError,
                     ModelConfig, ModelWeights, build_weights, classifier_forward,
                     decoder_forward, encoder_forward, init_weights,
                     load_encoder_only, match_arrays, num_visible, param_shapes,
-                    patchify, read_container, sample_mask, write_container)
+                    patchify, read_container, sample_mask, write_container, write_file)
 from .optim import NumericalError, OptimState, adamw_step, init_optim, lr_at
 
 
@@ -183,15 +182,14 @@ class TraceRow:
 
 
 def write_trace(path, rows, append=False):
-    """Append-only CSV trace: step, epoch, lr, loss."""
-    mode = "a" if append else "w"
-    new_file = not (append and os.path.exists(path) and os.path.getsize(path) > 0)
-    with open(path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if new_file:
-            writer.writerow(["step", "epoch", "lr", "loss"])
-        for r in rows:
-            writer.writerow([r.step, r.epoch, repr(r.lr), repr(r.loss)])
+    """CSV trace (CRLF rows): step, epoch, lr, loss. With `append` the rows
+    follow those already in `path`, and the file is still written whole."""
+    old = b""
+    if append and os.path.exists(path):
+        with open(path, "rb") as fh:
+            old = fh.read()
+    lines = [f"{r.step},{r.epoch},{r.lr!r},{r.loss!r}\r\n" for r in rows]
+    write_file(path, [old or "step,epoch,lr,loss\r\n", *lines])
 
 
 def check_stage(model_config, config):
@@ -230,6 +228,17 @@ def label_matrix(manifest, model_config):
                              f"task {model_config.task!r} needs them")
         rows.append(row)
     return np.stack(rows).astype(np.float64)
+
+
+def check_images(model_config, images, names):
+    """Raise ImageFormatError naming the first of `images` (decoded uint8
+    [C, H, W]) that is not the model's (channels, image_size, image_size)
+    input; `names` label the images in the same order."""
+    want = (model_config.channels, model_config.image_size, model_config.image_size)
+    for image, name in zip(images, names):
+        if image.shape != want:
+            raise ImageFormatError(
+                f"{name}: image shape {image.shape} does not match model {want}")
 
 
 def start_run(model_config, config, init_from=None):

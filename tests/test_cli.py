@@ -4,6 +4,7 @@ determinism across re-runs, and resume behavior."""
 import argparse
 import binascii
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -1024,3 +1025,152 @@ def test_ablate_snapshot_replays_bitwise(tmp_path, corpus_dir):
                        str(first / "resolved.cfg")]) == 0
     assert ((replay / "ablation.csv").read_bytes()
             == (first / "ablation.csv").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# inputs the commands must not write over or take in
+
+
+def test_finetune_refuses_to_write_over_its_init(tmp_path, corpus_dir, ft_dir,
+                                                 capsys):
+    ft = tmp_path / "ft"
+    shutil.copytree(ft_dir, ft)
+    before = _tree(ft)
+    init = hashlib.sha256((ft / "model.ckpt").read_bytes()).hexdigest()
+    code = run(["finetune", "--task", "detect",
+                "--init", "checkpoint:" + str(ft / "model.ckpt"),
+                "--manifest", str(corpus_dir / "manifest.jsonl"),
+                "--out", str(ft), "--seed", "0"] + FT_FLAGS)
+    assert code == 2
+    assert "one of this command's inputs" in capsys.readouterr().err
+    assert hashlib.sha256((ft / "model.ckpt").read_bytes()).hexdigest() == init
+    assert _tree(ft) == before
+
+
+@pytest.fixture(scope="module")
+def big_dir(tmp_path_factory):
+    """A 24-px corpus: the right AU count, the wrong size for TINY_MODEL."""
+    out = tmp_path_factory.mktemp("big")
+    assert run(["synth", "--seed", "3", "--count", "3", "--num-subjects", "3",
+                "--image-size", "24", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda p: ["pretrain", "--manifest", p["big"], "--seed", "0"]
+                 + TINY_MODEL, id="pretrain"),
+    pytest.param(lambda p: ["finetune", "--task", "detect", "--init", "scratch",
+                            "--manifest", p["big"], "--seed", "0"] + FT_FLAGS,
+                 id="finetune-train-set"),
+    pytest.param(lambda p: ["finetune", "--task", "detect", "--init", "scratch",
+                            "--manifest", p["small"], "--eval-manifest", p["big"],
+                            "--seed", "0"] + FT_FLAGS, id="finetune-held-out-set"),
+    pytest.param(lambda p: ["eval", "--checkpoint", p["ft"], "--manifest", p["big"]],
+                 id="eval"),
+    pytest.param(lambda p: ["ablate-loss", "--manifest", p["small"],
+                            "--eval-manifest", p["big"], "--seed", "0"] + TINY_MODEL,
+                 id="ablate-loss"),
+    pytest.param(lambda p: ["reconstruct", "--checkpoint", p["pre"], "--image",
+                            p["image"], "--mask-ratio", "0.5", "--seed", "0"],
+                 id="reconstruct"),
+])
+def test_image_size_mismatch_is_data_error(tmp_path, corpus_dir, big_dir, pre_dir,
+                                           ft_dir, capsys, argv):
+    paths = {"big": str(big_dir / "manifest.jsonl"),
+             "small": str(corpus_dir / "manifest.jsonl"),
+             "image": str(big_dir / "img_00000.pgm"),
+             "pre": str(pre_dir / "model.ckpt"), "ft": str(ft_dir / "model.ckpt")}
+    out = tmp_path / "out"
+    assert run(argv(paths) + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "img_00000.pgm" in err
+    assert "(1, 24, 24) does not match model (1, 16, 16)" in err
+    assert not out.exists()
+
+
+# one valid record line; the cases below break one field at a time
+_RECORD = {"image": "img.pgm", "subject": "s0", "frame": 0,
+           "landmarks": [[4.0, 5.0], [11.0, 5.0], [8.0, 8.0], [5.0, 12.0], [11.0, 12.0]],
+           "occurrence": [0, 1], "intensity": [0, 3]}
+_HEADER = {"format": "faceau-manifest", "version": 1, "au_names": ["a", "b"]}
+
+
+def _lines(*objs):
+    return "".join((o if isinstance(o, str) else json.dumps(o)) + "\n" for o in objs)
+
+
+@pytest.mark.parametrize("manifest,image", [
+    # read_image, reached through align's decode
+    pytest.param(_lines(_HEADER, _RECORD), b"P", id="image-too-short"),
+    pytest.param(_lines(_HEADER, _RECORD), b"P5 16 16", id="image-truncated-header"),
+    pytest.param(_lines(_HEADER, _RECORD), b"P5 16 x 255\n", id="image-non-numeric-field"),
+    pytest.param(_lines(_HEADER, _RECORD), b"P5 0 16 255\n", id="image-bad-dimensions"),
+    # SampleRecord.validate
+    pytest.param(_lines(_HEADER, dict(_RECORD, occurrence=[0, 2])), None,
+                 id="occurrence-not-binary"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, intensity=[1])), None,
+                 id="intensity-count"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, intensity=[0, 6])), None,
+                 id="intensity-range"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, landmarks=[[1.0, 2.0]])), None,
+                 id="landmarks-shape"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, landmarks=[[-1.0, 0.0]] * 5)), None,
+                 id="landmarks-negative"),
+    # read_manifest
+    pytest.param("", None, id="manifest-empty-file"),
+    pytest.param(_lines(dict(_HEADER, version=2)), None, id="manifest-bad-version"),
+    pytest.param(_lines({"format": "faceau-manifest", "version": 1}), None,
+                 id="manifest-missing-au-names"),
+    pytest.param(_lines(dict(_HEADER, au_names=5)), None, id="au-names-not-a-list"),
+    pytest.param(_lines(dict(_HEADER, au_names="abcd")), None, id="au-names-a-string"),
+    pytest.param(_lines(dict(_HEADER, au_names=[])), None, id="au-names-empty"),
+    pytest.param(_lines(dict(_HEADER, au_names=["a", 1])), None,
+                 id="au-names-not-strings"),
+    pytest.param(_lines(_HEADER, "not json"), None, id="record-not-json"),
+    pytest.param(_lines(_HEADER, {"image": "img.pgm"}), None, id="record-malformed"),
+])
+def test_malformed_input_is_data_error(tmp_path, capsys, manifest, image):
+    # `align` decodes every image; `stats` reads the manifest alone
+    (tmp_path / "m.jsonl").write_text(manifest)
+    if image is not None:
+        (tmp_path / "img.pgm").write_bytes(image)
+    out = tmp_path / "out"
+    command = "align" if image is not None else "stats"
+    assert run([command, "--manifest", str(tmp_path / "m.jsonl"),
+                "--out", str(out)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _kfold_args(out):
+    return argparse.Namespace(command="kfold", out=str(out), k=3, seed=0)
+
+
+@pytest.mark.parametrize("name,write,first,second", [
+    pytest.param("manifest.jsonl", lambda path, obj: write_manifest(obj, path),
+                 faceau.data.Manifest(records=[], au_names=["a"]),
+                 faceau.data.Manifest(records=[], au_names=["b"]), id="write_manifest"),
+    pytest.param("resolved.cfg",
+                 lambda path, obj: cli.open_out(_kfold_args(path.parent), obj),
+                 {"seed": 0}, {"seed": 1}, id="open_out"),
+    pytest.param("trace.csv",
+                 lambda path, obj: faceau.train.write_trace(path, obj, append=True),
+                 [faceau.train.TraceRow(0, 0, 0.1, 1.0)],
+                 [faceau.train.TraceRow(1, 0, 0.1, 0.5)], id="write_trace-append"),
+])
+def test_failed_text_write_keeps_previous_file(tmp_path, monkeypatch, name, write,
+                                               first, second):
+    path = tmp_path / "out" / name
+    path.parent.mkdir()
+    write(path, first)
+    old = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before rename")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError):
+        write(path, second)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert [p.name for p in path.parent.iterdir()] == [name]
