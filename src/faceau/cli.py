@@ -65,7 +65,7 @@ def _options(config_class, skip=()):
 
 
 MODEL_OPTIONS = _options(ModelConfig)
-TRAIN_OPTIONS = _options(TrainConfig, skip=("seed", "checkpoint"))
+TRAIN_OPTIONS = _options(TrainConfig, skip=("seed",))
 EXTRA_OPTIONS = {"seed": int, "model_preset": str}
 # ablate-loss keys with their defaults, each cast to its default's type
 ABLATE_DEFAULTS = {
@@ -154,7 +154,6 @@ def resolve_run(args, run=None):
     else:
         task = getattr(args, "task", "pretrain")
         stage_over = {task: {k: v for k, v in given.items() if k in TRAIN_OPTIONS}}
-        stage_over[task]["checkpoint"] = os.path.join(args.out, "run_state.bin")
     if run is None:
         if "seed" not in given:
             raise ValueError("--seed is required (flag or config file)")
@@ -255,8 +254,8 @@ def cmd_pretrain(args):
     else:
         run.config = config
     out = open_out(args, values, comments)
-    rows = pretrain_loop(run, corpus)
-    write_trace(os.path.join(out, "trace.csv"), rows, append=bool(args.resume))
+    rows = pretrain_loop(run, corpus, checkpoint=os.path.join(out, "run_state.bin"))
+    write_trace(os.path.join(out, "trace.csv"), run.trace)
     ckpt = os.path.join(out, "model.ckpt")
     save_weights(run.weights, ckpt)
     if rows:
@@ -321,8 +320,9 @@ def cmd_finetune(args):
     eval_corpus = _load_checked(eval_manifest, model_config) if eval_manifest else None
     run = start_run(model_config, config, init_from=init_path)
     out = open_out(args, values, comments)
-    rows, reports = finetune_loop(run, corpus, eval_corpus=eval_corpus)
-    write_trace(os.path.join(out, "trace.csv"), rows)
+    _, reports = finetune_loop(run, corpus, eval_corpus=eval_corpus,
+                               checkpoint=os.path.join(out, "run_state.bin"))
+    write_trace(os.path.join(out, "trace.csv"), run.trace)
     ckpt = os.path.join(out, "model.ckpt")
     save_weights(run.weights, ckpt)
     for epoch, report in reports:
@@ -341,6 +341,8 @@ def cmd_finetune(args):
 
 
 def cmd_eval(args):
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ValueError(f"--threshold must lie in [0, 1], got {args.threshold}")
     weights = load_weights(args.checkpoint)
     if weights.config.task == "pretrain":
         raise TrainError("checkpoint holds a pre-training model; evaluation "
@@ -487,9 +489,12 @@ def cmd_align(args):
                       [args.manifest, *map(manifest.resolve, manifest.records)])
     corpus = load_corpus(manifest)
     records, images = [], []
-    for rec, image in zip(manifest.records, corpus.images):
-        aligned, points = align_face(to_float(image), rec.landmarks[0],
-                                     rec.landmarks[1], rec.landmarks)
+    for i, (rec, image) in enumerate(zip(manifest.records, corpus.images)):
+        try:
+            aligned, points = align_face(to_float(image), rec.landmarks[0],
+                                         rec.landmarks[1], rec.landmarks)
+        except ValueError as exc:
+            raise ManifestError(f"record {i}: {exc}") from exc
         images.append(to_uint8(np.clip(aligned, 0.0, 1.0)))
         records.append(dataclasses.replace(rec, landmarks=np.maximum(points, 0.0)))
     out = open_out(args)

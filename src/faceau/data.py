@@ -188,22 +188,31 @@ def _record_to_obj(rec):
 _KNOWN_KEYS = {"image", "subject", "frame", "landmarks", "bbox", "occurrence", "intensity"}
 
 
+def _whole(obj, key):
+    """obj[key], a number or a list of numbers, as int64; a fraction raises
+    ValueError instead of being truncated by the conversion."""
+    values = np.asarray(obj[key], dtype=np.int64)
+    if values.tolist() != obj[key]:
+        raise ValueError(f"{key} must be whole numbers, got {obj[key]!r}")
+    return values
+
+
 def _record_from_obj(obj, num_aus, line):
     try:
         rec = SampleRecord(
             image_path=str(obj["image"]),
             subject=str(obj["subject"]),
-            frame=int(obj["frame"]),
+            frame=int(_whole(obj, "frame")),
             landmarks=np.asarray(obj["landmarks"], dtype=np.float64)
             if obj.get("landmarks") is not None else None,
             bbox=tuple(obj["bbox"]) if obj.get("bbox") is not None else None,
-            occurrence=np.asarray(obj["occurrence"], dtype=np.int64)
+            occurrence=_whole(obj, "occurrence")
             if obj.get("occurrence") is not None else None,
-            intensity=np.asarray(obj["intensity"], dtype=np.int64)
+            intensity=_whole(obj, "intensity")
             if obj.get("intensity") is not None else None,
             extra={k: v for k, v in obj.items() if k not in _KNOWN_KEYS},
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ManifestError(f"line {line}: malformed record ({e})") from e
     rec.validate(num_aus, line=line)
     return rec

@@ -64,6 +64,11 @@ class ModelConfig:
     task: str = "pretrain"
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.mlp_ratio <= 0:
+            raise ConfigError(f"mlp_ratio must be > 0, got {self.mlp_ratio}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.enc_width % self.enc_heads != 0:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +59,6 @@ class TrainConfig:
     label_smoothing: float = 0.0
     reduction: str = "mean"
     eval_every: int = 0
-    checkpoint: str | None = None
     checkpoint_every: int = 1
     recon_loss: str = "L1"
     random_crop: bool = False
@@ -69,6 +67,9 @@ class TrainConfig:
     freeze_encoder: bool = False
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise TrainError(f"{name} must be finite, got {value}")
         if self.task not in TASKS:
             raise TrainError(f"unknown task {self.task!r}")
         if self.epochs < 1:
@@ -166,6 +167,7 @@ class RunState:
     config: TrainConfig
     streams: dict
     epoch: int = 0  # completed epochs
+    trace: list = field(default_factory=list)  # one TraceRow per optimizer step
 
     @property
     def step(self):
@@ -181,15 +183,10 @@ class TraceRow:
     loss: float
 
 
-def write_trace(path, rows, append=False):
-    """CSV trace (CRLF rows): step, epoch, lr, loss. With `append` the rows
-    follow those already in `path`, and the file is still written whole."""
-    old = b""
-    if append and os.path.exists(path):
-        with open(path, "rb") as fh:
-            old = fh.read()
+def write_trace(path, rows):
+    """CSV trace (CRLF rows): step, epoch, lr, loss."""
     lines = [f"{r.step},{r.epoch},{r.lr!r},{r.loss!r}\r\n" for r in rows]
-    write_file(path, [old or "step,epoch,lr,loss\r\n", *lines])
+    write_file(path, ["step,epoch,lr,loss\r\n", *lines])
 
 
 def check_stage(model_config, config):
@@ -269,7 +266,7 @@ def checkpoint_period(epochs):
 # run state: the "MAET" container of faceau.model
 #
 # meta carries the model and train configs, "epoch", "opt_step", the rng
-# states and the array table; arrays are keyed "w:", "m:", "v:" + param name.
+# states, the trace rows and the array table ("w:"/"m:"/"v:" + param name).
 
 
 def save_run_state(path, run):
@@ -283,6 +280,7 @@ def save_run_state(path, run):
         "epoch": run.epoch,
         "opt_step": run.opt.step,
         "rng": _stream_states(run.streams),
+        "trace": [[r.step, r.epoch, r.lr, r.loss] for r in run.trace],
     }
     write_container(path, RUN_STATE_MAGIC, meta, arrays)
 
@@ -295,6 +293,11 @@ def load_run_state(path):
         epoch, step = meta["epoch"], meta["opt_step"]
         if not all(type(n) is int and n >= 0 for n in (epoch, step)):
             raise CheckpointError(f"{path}: epoch and opt_step must be counts")
+        trace = [TraceRow(*row) for row in meta["trace"]]
+        if len(trace) != step or any(type(v) not in (int, float)
+                                     for row in meta["trace"] for v in row):
+            raise CheckpointError(f"{path}: trace must hold one numeric [step, "
+                                  "epoch, lr, loss] row per optimizer step")
         shapes = param_shapes(model_config)
         loaded = match_arrays(arrays, {f"{tag}:{name}": shape for tag in "wmv"
                                        for name, shape in shapes.items()})
@@ -302,7 +305,8 @@ def load_run_state(path):
         opt = OptimState(m={name: loaded[f"m:{name}"] for name in shapes},
                          v={name: loaded[f"v:{name}"] for name in shapes}, step=step)
         return RunState(weights=weights, opt=opt, config=config,
-                        streams=_restore_streams(meta["rng"]), epoch=epoch)
+                        streams=_restore_streams(meta["rng"]), epoch=epoch,
+                        trace=trace)
     return read_container(path, RUN_STATE_MAGIC, decode)
 
 
@@ -310,25 +314,19 @@ def load_run_state(path):
 # training loops
 
 
-def _maybe_checkpoint(run, stop):
-    cfg = run.config
-    if cfg.checkpoint and (run.epoch % cfg.checkpoint_every == 0 or run.epoch == stop):
-        save_run_state(cfg.checkpoint, run)
-
-
-def _train(run, corpus, until_epoch, prepare, sample_loss, after_epoch=None):
+def _train(run, corpus, until_epoch, checkpoint, prepare, sample_loss, after_epoch=None):
     """The epoch/batch driver both stages share. Per batch: `prepare(idx)`
     turns corpus indices into samples, `sample_loss(sample)` records each
     sample's loss on its own tape, gradients accumulate at 1/len(batch), and
-    one AdamW step follows. Runs from run.epoch up to until_epoch (default:
-    config.epochs), calls `after_epoch()` after each epoch, then checkpoints
-    to config.checkpoint every checkpoint_every epochs. Returns the
-    TraceRows produced by this call."""
+    one AdamW step and its TraceRow in run.trace follow. Runs from run.epoch
+    up to until_epoch (default: config.epochs), calls `after_epoch()` after
+    each epoch, then saves the run state to `checkpoint` (a path, or None)
+    every checkpoint_every epochs. Returns the TraceRows of this call."""
     config = run.config
     stop = config.epochs if until_epoch is None else min(until_epoch, config.epochs)
     steps_per_epoch = math.ceil(len(corpus) / config.batch_size)
     skip = ENCODER_PREFIXES if config.freeze_encoder else ()
-    rows = []
+    first = len(run.trace)
     while run.epoch < stop:
         order = run.streams["shuffle"].permutation(len(corpus))
         for start in range(0, len(order), config.batch_size):
@@ -347,18 +345,19 @@ def _train(run, corpus, until_epoch, prepare, sample_loss, after_epoch=None):
                 raise NumericalError(f"non-finite loss at step {run.step}")
             adamw_step(run.weights, run.opt, lr, config.weight_decay,
                        beta2=config.beta2, skip=skip)
-            rows.append(TraceRow(run.opt.step - 1, run.epoch, lr, batch_loss))
+            run.trace.append(TraceRow(run.opt.step - 1, run.epoch, lr, batch_loss))
         run.epoch += 1
         if after_epoch is not None:
             after_epoch()
-        _maybe_checkpoint(run, stop)
-    return rows
+        if checkpoint and (run.epoch % config.checkpoint_every == 0 or run.epoch == stop):
+            save_run_state(checkpoint, run)
+    return run.trace[first:]
 
 
-def pretrain_loop(run, corpus, until_epoch=None):
+def pretrain_loop(run, corpus, until_epoch=None, checkpoint=None):
     """Mask-and-reconstruct training; returns the TraceRows produced by this
     call. Continues from run.epoch up to until_epoch (default: config.epochs),
-    checkpointing to config.checkpoint every checkpoint_every epochs."""
+    saving the run state to `checkpoint` every checkpoint_every epochs."""
     config = run.config
     if config.task != "pretrain":
         raise TrainError(f"pretrain_loop needs task 'pretrain', got {config.task!r}")
@@ -385,13 +384,14 @@ def pretrain_loop(run, corpus, until_epoch=None):
         pred = decoder_forward(run.weights, latent, plan)
         return loss_pretrain(pred, targets, plan, config.recon_loss, config.reduction)
 
-    return _train(run, corpus, until_epoch, prepare, sample_loss)
+    return _train(run, corpus, until_epoch, checkpoint, prepare, sample_loss)
 
 
-def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None):
+def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None, checkpoint=None):
     """Supervised stage on all patches (no masking). Detection mixes batches
-    with mixup/cutmix; intensity uses neither. Returns (trace rows, list of
-    (epoch, MetricsReport) from the held-out split every eval_every epochs)."""
+    with mixup/cutmix; intensity uses neither; checkpoints like pretrain_loop.
+    Returns (trace rows of this call, list of (epoch, MetricsReport) from
+    the held-out split every eval_every epochs)."""
     config = run.config
     task = config.task
     if task not in ("detect", "intensity"):
@@ -444,7 +444,7 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None):
         if config.eval_every > 0 and run.epoch % config.eval_every == 0:
             reports.append((run.epoch, evaluate(run.weights, eval_corpus)))
 
-    rows = _train(run, corpus, until_epoch, prepare, sample_loss, after_epoch)
+    rows = _train(run, corpus, until_epoch, checkpoint, prepare, sample_loss, after_epoch)
     return rows, reports
 
 

@@ -290,6 +290,22 @@ def test_align_rejects_image_outside_manifest_dir(tmp_path, outside, capsys):
     assert not out.exists()
 
 
+def test_align_rejects_coincident_eyes_naming_the_record(tmp_path, capsys):
+    data = _small_corpus(tmp_path)
+    manifest = read_manifest(str(data / "manifest.jsonl"))
+    records = list(manifest.records)
+    landmarks = records[1].landmarks.copy()
+    landmarks[1] = landmarks[0]
+    records[1] = dataclasses.replace(records[1], landmarks=landmarks)
+    write_manifest(dataclasses.replace(manifest, records=records),
+                   str(data / "manifest.jsonl"))
+    out = tmp_path / "al"
+    assert run(["align", "--manifest", str(data / "manifest.jsonl"),
+                "--out", str(out)]) == 3
+    assert "record 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_align_writes_images_in_subdirectories(tmp_path):
     data = _small_corpus(tmp_path)
     (data / "sub").mkdir()
@@ -419,7 +435,8 @@ def test_run_stopped_after_a_write_resumes_bitwise(tmp_path, corpus_dir,
     monkeypatch.undo()
     assert run(["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl"),
                 "--out", str(cut), "--resume", str(state)]) == 0
-    assert (cut / "model.ckpt").read_bytes() == (whole / "model.ckpt").read_bytes()
+    for name in ("model.ckpt", "trace.csv", "run_state.bin"):
+        assert (cut / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 def test_pretrain_requires_seed(tmp_path, corpus_dir, capsys):
@@ -528,6 +545,17 @@ def _finetune(p, *flags, init="scratch"):
             "--manifest", _manifest(p), "--seed", "0", *flags] + FT_FLAGS
 
 
+def _pretrain(p, *flags):
+    # the last of a repeated flag wins, so `flags` override the tiny run's
+    return ["pretrain", "--manifest", _manifest(p), "--seed", "0",
+            *TINY_MODEL, *TINY_TRAIN, *flags]
+
+
+def _eval(p, *flags):
+    return ["eval", "--checkpoint", str(p["ft"] / "model.ckpt"),
+            "--manifest", _manifest(p), *flags]
+
+
 def _reconstruct(p, ckpt, *ratios):
     return ["reconstruct", "--checkpoint", str(ckpt / "model.ckpt"),
             "--image", str(p["corpus"] / "img_00000.pgm"), "--seed", "0",
@@ -594,6 +622,19 @@ def _reconstruct(p, ckpt, *ratios):
                             "--eval-manifest", _manifest(p), "--seed", "0",
                             "--mask-ratio", "0"] + TINY_MODEL, 2,
                  id="ablate-mask-ratio-zero"),
+    pytest.param(lambda p: _pretrain(p, "--base-lr", "nan"), 2,
+                 id="pretrain-base-lr-nan"),
+    pytest.param(lambda p: _pretrain(p, "--weight-decay", "inf"), 2,
+                 id="pretrain-weight-decay-inf"),
+    pytest.param(lambda p: _pretrain(p, "--mlp-ratio", "inf"), 2,
+                 id="pretrain-mlp-ratio-inf"),
+    pytest.param(lambda p: _pretrain(p, "--mlp-ratio", "0"), 2,
+                 id="pretrain-mlp-ratio-zero"),
+    pytest.param(lambda p: _finetune(p) + ["--drop-path-rate", "nan"], 2,
+                 id="finetune-drop-path-rate-nan"),
+    pytest.param(lambda p: _eval(p, "--threshold", "nan"), 2, id="eval-threshold-nan"),
+    pytest.param(lambda p: _eval(p, "--threshold", "2"), 2, id="eval-threshold-above-one"),
+    pytest.param(lambda p: _eval(p, "--threshold", "-1"), 2, id="eval-threshold-negative"),
 ])
 def test_rejected_run_leaves_out_absent(tmp_path, corpus_dir, pre_dir, ft_dir,
                                         labels_dir, capsys, argv, code):
@@ -845,6 +886,10 @@ def _entry(meta, **fields):
     pytest.param(lambda m: m["model"].update(enc_heads=0), id="invalid-model-field"),
     pytest.param(lambda m: m["train"].pop("epochs"), id="missing-train-field"),
     pytest.param(lambda m: m["train"].update(epochs=0), id="invalid-train-field"),
+    pytest.param(lambda m: m.pop("trace"), id="no-trace"),
+    pytest.param(lambda m: m["trace"][0].pop(), id="trace-row-of-three"),
+    pytest.param(lambda m: m["trace"].pop(), id="trace-fewer-rows-than-steps"),
+    pytest.param(lambda m: m["trace"][0].__setitem__(3, "0.5"), id="trace-string-loss"),
 ])
 def test_resume_malformed_run_state_is_data_error(tmp_path, corpus_dir, pre_dir,
                                                   capsys, edit):
@@ -1112,6 +1157,11 @@ def _lines(*objs):
                  id="intensity-count"),
     pytest.param(_lines(_HEADER, dict(_RECORD, intensity=[0, 6])), None,
                  id="intensity-range"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, occurrence=[0.5, 1.9])), None,
+                 id="occurrence-fractional"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, intensity=[2.7, 4.2])), None,
+                 id="intensity-fractional"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, frame=0.9)), None, id="frame-fractional"),
     pytest.param(_lines(_HEADER, dict(_RECORD, landmarks=[[1.0, 2.0]])), None,
                  id="landmarks-shape"),
     pytest.param(_lines(_HEADER, dict(_RECORD, landmarks=[[-1.0, 0.0]] * 5)), None,
@@ -1154,9 +1204,9 @@ def _kfold_args(out):
                  lambda path, obj: cli.open_out(_kfold_args(path.parent), obj),
                  {"seed": 0}, {"seed": 1}, id="open_out"),
     pytest.param("trace.csv",
-                 lambda path, obj: faceau.train.write_trace(path, obj, append=True),
+                 lambda path, obj: faceau.train.write_trace(path, obj),
                  [faceau.train.TraceRow(0, 0, 0.1, 1.0)],
-                 [faceau.train.TraceRow(1, 0, 0.1, 0.5)], id="write_trace-append"),
+                 [faceau.train.TraceRow(1, 0, 0.1, 0.5)], id="write_trace"),
 ])
 def test_failed_text_write_keeps_previous_file(tmp_path, monkeypatch, name, write,
                                                first, second):

@@ -142,9 +142,8 @@ def test_pretrain_resume_is_bitwise(tmp_path):
     run_a = start_run(tiny_model(), full_cfg)
     rows_a = pretrain_loop(run_a, corpus)
 
-    cfg_b = dataclasses.replace(full_cfg, checkpoint=ckpt)
-    run_b = start_run(tiny_model(), cfg_b)
-    head = pretrain_loop(run_b, corpus, until_epoch=2)
+    run_b = start_run(tiny_model(), full_cfg)
+    head = pretrain_loop(run_b, corpus, until_epoch=2, checkpoint=ckpt)
     resumed = load_run_state(ckpt)
     assert resumed.epoch == 2 and resumed.step == run_b.step
     tail = pretrain_loop(resumed, corpus)
@@ -161,6 +160,7 @@ def test_run_state_round_trip_and_corruption(tmp_path):
     assert back.config == run.config
     assert back.weights.config == run.weights.config
     assert back.epoch == run.epoch and back.opt.step == run.opt.step
+    assert back.trace == run.trace
     assert param_bytes(back.weights) == param_bytes(run.weights)
     for name in run.opt.m:
         assert np.array_equal(back.opt.m[name], run.opt.m[name])
@@ -211,16 +211,15 @@ def test_container_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(weights.read_bytes()).hexdigest() == \
         "6d76555f6c26ade8417bada40e227dc40b9bcc5924a650be7e06da8e2a86f14f"
     assert hashlib.sha256(state.read_bytes()).hexdigest() == \
-        "87db69ecdc46b509056bbe6d1c0ffc014f02d5a1cbb6129bf63ce3b5a02847e2"
+        "a474066fe8a2afcbffe10efced4aa76168a73f625ea1e90f90d75a9a11a1d286"
 
 
 def test_write_trace_appends(tmp_path):
     path = str(tmp_path / "trace.csv")
     run = start_run(tiny_model(), tiny_config())
     rows = pretrain_loop(run, tiny_corpus(), until_epoch=1)
-    write_trace(path, rows)
     more = pretrain_loop(run, tiny_corpus())
-    write_trace(path, more, append=True)
+    write_trace(path, run.trace)
     lines = open(path).read().strip().splitlines()
     assert lines[0] == "step,epoch,lr,loss"
     assert len(lines) == 1 + len(rows) + len(more)
