@@ -110,7 +110,7 @@ class SampleRecord:
     subject: str
     frame: int
     landmarks: np.ndarray | None = None  # [5, 2] (x, y): eyes, nose, mouth corners
-    bbox: tuple | None = None  # (x0, y0, x1, y1), half-open
+    bbox: np.ndarray | None = None  # [4] (x0, y0, x1, y1), half-open
     occurrence: np.ndarray | None = None
     intensity: np.ndarray | None = None
     extra: dict = field(default_factory=dict)
@@ -133,8 +133,11 @@ class SampleRecord:
         if self.landmarks is not None:
             if self.landmarks.shape != (5, 2):
                 raise ManifestError(f"{where}landmarks must be 5 (x, y) points")
-            if (self.landmarks < 0).any():
-                raise ManifestError(f"{where}landmarks must be non-negative coordinates")
+            if not np.isfinite(self.landmarks).all() or (self.landmarks < 0).any():
+                raise ManifestError(f"{where}landmarks must be finite non-negative coordinates")
+        if self.bbox is not None:
+            if self.bbox.shape != (4,) or not np.isfinite(self.bbox).all():
+                raise ManifestError(f"{where}bbox must be 4 finite numbers (x0, y0, x1, y1)")
 
 
 @dataclass
@@ -205,7 +208,8 @@ def _record_from_obj(obj, num_aus, line):
             frame=int(_whole(obj, "frame")),
             landmarks=np.asarray(obj["landmarks"], dtype=np.float64)
             if obj.get("landmarks") is not None else None,
-            bbox=tuple(obj["bbox"]) if obj.get("bbox") is not None else None,
+            bbox=np.asarray(obj["bbox"], dtype=np.float64)
+            if obj.get("bbox") is not None else None,
             occurrence=_whole(obj, "occurrence")
             if obj.get("occurrence") is not None else None,
             intensity=_whole(obj, "intensity")

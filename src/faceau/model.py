@@ -428,20 +428,18 @@ def classifier_forward(weights, patches, branch_hook=None):
 #
 # Both checkpoint files share one frame:
 #
-#   magic | u32 version | u32 meta_len | meta JSON | [table]
+#   magic | u32 version | u32 meta_len | meta JSON
+#   | u32 n_arrays | per array: u16 key_len, key, u8 ndim, u32 dims.., u64 offset
 #   | u64 blob_len | float32 LE arrays | u32 crc32 of everything before it
 #
-# and differ only in where the array table of (key, shape, offset) lives.
-#
-# "MAEF" model weights: meta is the ModelConfig; a binary table follows it as
-#   u32 n_params | per param: u16 name_len, name, u8 ndim, u32 dims.., u64 offset
-#
+# "MAEF" model weights: meta is the ModelConfig.
 # "MAET" run state (train.save_run_state): meta carries both configs, progress
-#   counters, rng states, and the table as "arrays": [{key, shape, offset}]
+#   counters, rng states and trace rows. Version 1 kept its array table in the
+#   meta; version 2 has the binary table above.
 
 WEIGHTS_MAGIC = b"MAEF"
 RUN_STATE_MAGIC = b"MAET"
-_VERSION = 1
+_VERSIONS = {WEIGHTS_MAGIC: 1, RUN_STATE_MAGIC: 2}
 
 # what a malformed but checksum-valid container raises while it is decoded
 _MALFORMED = (LookupError, TypeError, ValueError, ArithmeticError, RecursionError)
@@ -467,23 +465,15 @@ def write_container(path, magic, meta, arrays):
     """Write (key, ndarray) pairs as float32 under `meta` through write_file;
     the table is laid out from the shapes, so no whole-file copy is made."""
     arrays = list(arrays)
-    table, blob_len = [], 0
+    table, blob_len = [struct.pack("<I", len(arrays))], 0
     for key, arr in arrays:
-        table.append((key, arr.shape, blob_len))
+        name = key.encode()
+        table.append(struct.pack(f"<H{len(name)}sB{arr.ndim}IQ",
+                                 len(name), name, arr.ndim, *arr.shape, blob_len))
         blob_len += 4 * arr.size
-    binary_table = b""
-    if magic == WEIGHTS_MAGIC:
-        binary_table += struct.pack("<I", len(table))
-        for key, shape, offset in table:
-            name = key.encode()
-            binary_table += struct.pack(f"<H{len(name)}sB{len(shape)}IQ",
-                                        len(name), name, len(shape), *shape, offset)
-    else:
-        meta = dict(meta, arrays=[{"key": key, "shape": list(shape), "offset": offset}
-                                  for key, shape, offset in table])
     meta_json = json.dumps(meta, sort_keys=True).encode()
-    header = (magic + struct.pack("<II", _VERSION, len(meta_json)) + meta_json
-              + binary_table + struct.pack("<Q", blob_len))
+    header = b"".join([magic, struct.pack("<II", _VERSIONS[magic], len(meta_json)),
+                       meta_json, *table, struct.pack("<Q", blob_len)])
 
     def chunks():
         yield header
@@ -531,24 +521,21 @@ def read_container(path, magic, decode):
     r = _Reader(body)
     if r.take(4) != magic:
         raise CheckpointError(f"{path}: bad magic: not a {magic.decode()} file")
-    version = r.u("<I")
-    if version != _VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}, expected {_VERSION}")
+    version, expected = r.u("<I"), _VERSIONS[magic]
+    if version != expected:
+        raise CheckpointError(f"{path}: unsupported version {version}, expected {expected}")
     try:
         meta = json.loads(bytes(r.take(r.u("<I"))).decode())
-        if magic == WEIGHTS_MAGIC:
-            table = []
-            for _ in range(r.u("<I")):
-                name = bytes(r.take(r.u("<H"))).decode()
-                shape = tuple(r.u("<I") for _ in range(r.u("<B")))
-                table.append((name, shape, r.u("<Q")))
-        else:
-            table = [(e["key"], tuple(e["shape"]), e["offset"]) for e in meta["arrays"]]
+        table = []
+        for _ in range(r.u("<I")):
+            key = bytes(r.take(r.u("<H"))).decode()
+            shape = tuple(r.u("<I") for _ in range(r.u("<B")))
+            table.append((key, shape, r.u("<Q")))
         blob = r.take(r.u("<Q"))
         arrays = {}
         for key, shape, offset in table:
             count = math.prod(shape)
-            if offset < 0 or min(shape, default=0) < 0 or offset + 4 * count > len(blob):
+            if offset + 4 * count > len(blob):
                 raise CheckpointError(f"{path}: array {key!r} extends past the data block")
             arrays[key] = np.frombuffer(blob, dtype="<f4", count=count,
                                         offset=offset).reshape(shape).copy()
@@ -556,10 +543,11 @@ def read_container(path, magic, decode):
     except CheckpointError:
         raise
     except _MALFORMED as exc:
-        raise CheckpointError(f"{path}: malformed {magic.decode()} file: {exc!r}") from exc
+        raise CheckpointError(f"{path}: malformed {magic.decode()} file: "
+                              f"{type(exc).__name__}: {exc}") from exc
 
 
-def match_arrays(arrays, expected, allow_extra=False):
+def match_arrays(arrays, expected):
     """Check file arrays against `expected` {key: shape}, read off the
     parameter layout; returns the expected arrays in the default dtype.
     Fails whole, naming every missing, unexpected or mis-shaped key."""
@@ -567,8 +555,7 @@ def match_arrays(arrays, expected, allow_extra=False):
     problems += [f"{key}: file {arrays[key].shape} vs model {shape}"
                  for key, shape in expected.items()
                  if key in arrays and arrays[key].shape != shape]
-    if not allow_extra:
-        problems += [f"{key}: unexpected" for key in arrays if key not in expected]
+    problems += [f"{key}: unexpected" for key in arrays if key not in expected]
     if problems:
         raise CheckpointError("parameter mismatch; " + "; ".join(problems))
     return {key: arrays[key].astype(ng.default_dtype(), copy=False) for key in expected}
@@ -594,7 +581,8 @@ def load_encoder_only(path, config, rng):
         weights = init_weights(config, rng)
         encoder = {n: shape for n, shape in param_shapes(config).items()
                    if n.startswith(ENCODER_PREFIXES)}
-        for name, arr in match_arrays(arrays, encoder, allow_extra=True).items():
+        stored = {n: arr for n, arr in arrays.items() if n.startswith(ENCODER_PREFIXES)}
+        for name, arr in match_arrays(stored, encoder).items():
             weights.params[name].data = arr
         return weights
     return read_container(path, WEIGHTS_MAGIC, decode)

@@ -266,7 +266,7 @@ def checkpoint_period(epochs):
 # run state: the "MAET" container of faceau.model
 #
 # meta carries the model and train configs, "epoch", "opt_step", the rng
-# states, the trace rows and the array table ("w:"/"m:"/"v:" + param name).
+# states and the trace rows; each array is keyed "w:"/"m:"/"v:" + param name.
 
 
 def save_run_state(path, run):

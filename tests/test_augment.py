@@ -235,6 +235,27 @@ def test_randaug_catalog_is_fixed():
                            "contrast", "crop_resize")
 
 
+class BrightnessRng:
+    """Always applies the policy, picks brightness twice, draws the largest
+    shift."""
+
+    def random(self):
+        return 0.0
+
+    def choice(self, n, size, replace):
+        return np.full(size, RANDAUG_OPS.index("brightness"))
+
+    def uniform(self, low, high):
+        return high
+
+
+def test_randaug_full_magnitude_applies_full_shift():
+    # magnitude 10 scales each op by exactly 1: two +0.3 brightness shifts
+    img = np.full((1, 4, 4), 0.1, dtype=np.float32)
+    out = randaug_light(img, magnitude=10, prob=1.0, rng=BrightnessRng())
+    assert np.allclose(out, 0.7, atol=1e-6)
+
+
 def test_randaug_values_stay_in_unit_range():
     img = np.random.default_rng(9).random((1, 16, 16)).astype(np.float32)
     for seed in range(10):

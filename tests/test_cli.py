@@ -6,6 +6,7 @@ import binascii
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -366,7 +367,7 @@ def test_pretrain_resume_matches_uninterrupted(tmp_path, corpus_dir, pre_dir):
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # a desk-width pretrain in two processes, at one and at two OpenBLAS
-    # threads; both write into the same --out, which run_state.bin records
+    # threads
     data = tmp_path / "data"
     assert run(["synth", "--seed", "5", "--count", "8", "--out", str(data)]) == 0
     out = tmp_path / "run"
@@ -850,53 +851,56 @@ def _rewrite_meta(raw, edit):
                    + raw[12 + meta_len:-4])
 
 
-def _rewrite_first_param(raw, name_byte=None, offset=None):
-    """A real model.ckpt with its first table entry's name or offset
-    replaced and its checksum recomputed."""
+def _rewrite_first_param(raw, name_byte=None, offset=None, name_len=None):
+    """A real container with its first table entry's name, offset or name
+    length replaced and its checksum recomputed."""
     body = bytearray(raw[:-4])
     (meta_len,) = struct.unpack("<I", body[8:12])
     pos = 12 + meta_len + 4  # past the meta JSON and n_params
-    (name_len,) = struct.unpack("<H", body[pos:pos + 2])
+    (stored_len,) = struct.unpack("<H", body[pos:pos + 2])
+    if name_len is not None:
+        body[pos:pos + 2] = struct.pack("<H", name_len)
     if name_byte is not None:
         body[pos + 2] = name_byte
-    pos += 2 + name_len
+    pos += 2 + stored_len
     pos += 1 + 4 * body[pos]  # ndim, dims
     if offset is not None:
         body[pos:pos + 8] = struct.pack("<Q", offset)
     return _reseal(bytes(body))
 
 
-def _entry(meta, **fields):
-    meta["arrays"][0].update(fields)
+def _meta(edit):
+    return lambda raw: _rewrite_meta(raw, edit)
 
 
-@pytest.mark.parametrize("edit", [
-    pytest.param(lambda m: m.pop("epoch"), id="no-epoch"),
-    pytest.param(lambda m: m.pop("opt_step"), id="no-opt-step"),
-    pytest.param(lambda m: m.pop("rng"), id="no-rng"),
-    pytest.param(lambda m: m.pop("arrays"), id="no-arrays"),
-    pytest.param(lambda m: m["arrays"][0].pop("key"), id="entry-no-key"),
-    pytest.param(lambda m: m["arrays"][0].pop("shape"), id="entry-no-shape"),
-    pytest.param(lambda m: m["arrays"][0].pop("offset"), id="entry-no-offset"),
-    pytest.param(lambda m: _entry(m, offset=-4), id="negative-offset"),
-    pytest.param(lambda m: _entry(m, offset=1 << 40), id="offset-past-end"),
-    pytest.param(lambda m: m.update(epoch="1"), id="epoch-not-a-count"),
-    pytest.param(lambda m: m["rng"].update(mask={}), id="bad-rng-state"),
-    pytest.param(lambda m: m["model"].update(bogus=1), id="unknown-model-field"),
-    pytest.param(lambda m: m["model"].update(enc_heads=0), id="invalid-model-field"),
-    pytest.param(lambda m: m["train"].pop("epochs"), id="missing-train-field"),
-    pytest.param(lambda m: m["train"].update(epochs=0), id="invalid-train-field"),
-    pytest.param(lambda m: m.pop("trace"), id="no-trace"),
-    pytest.param(lambda m: m["trace"][0].pop(), id="trace-row-of-three"),
-    pytest.param(lambda m: m["trace"].pop(), id="trace-fewer-rows-than-steps"),
-    pytest.param(lambda m: m["trace"][0].__setitem__(3, "0.5"), id="trace-string-loss"),
+@pytest.mark.parametrize("rewrite", [
+    pytest.param(_meta(lambda m: m.pop("epoch")), id="no-epoch"),
+    pytest.param(_meta(lambda m: m.pop("opt_step")), id="no-opt-step"),
+    pytest.param(_meta(lambda m: m.pop("rng")), id="no-rng"),
+    pytest.param(lambda raw: _rewrite_first_param(raw, name_byte=0xFF),
+                 id="non-utf8-key"),
+    pytest.param(lambda raw: _rewrite_first_param(raw, offset=1 << 40),
+                 id="offset-past-end"),
+    pytest.param(lambda raw: _reseal(raw[:4] + struct.pack("<I", 1) + raw[8:-4]),
+                 id="version-1-header"),
+    pytest.param(_meta(lambda m: m.update(epoch="1")), id="epoch-not-a-count"),
+    pytest.param(_meta(lambda m: m["rng"].update(mask={})), id="bad-rng-state"),
+    pytest.param(_meta(lambda m: m["model"].update(bogus=1)), id="unknown-model-field"),
+    pytest.param(_meta(lambda m: m["model"].update(enc_heads=0)), id="invalid-model-field"),
+    pytest.param(_meta(lambda m: m["train"].pop("epochs")), id="missing-train-field"),
+    pytest.param(_meta(lambda m: m["train"].update(epochs=0)), id="invalid-train-field"),
+    pytest.param(_meta(lambda m: m.pop("trace")), id="no-trace"),
+    pytest.param(_meta(lambda m: m["trace"][0].pop()), id="trace-row-of-three"),
+    pytest.param(_meta(lambda m: m["trace"].pop()), id="trace-fewer-rows-than-steps"),
+    pytest.param(_meta(lambda m: m["trace"][0].__setitem__(3, "0.5")),
+                 id="trace-string-loss"),
 ])
 def test_resume_malformed_run_state_is_data_error(tmp_path, corpus_dir, pre_dir,
-                                                  capsys, edit):
+                                                  capsys, rewrite):
     raw = (pre_dir / "run_state.bin").read_bytes()
-    assert _rewrite_meta(raw, lambda m: None) == raw
+    assert _rewrite_meta(raw, lambda m: None) == _rewrite_first_param(raw) == raw
     bad = tmp_path / "run_state.bin"
-    bad.write_bytes(_rewrite_meta(raw, edit))
+    bad.write_bytes(rewrite(raw))
     code = run(["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl"),
                 "--out", str(tmp_path / "x"), "--resume", str(bad)])
     assert code == 3
@@ -925,6 +929,26 @@ def test_reconstruct_malformed_checkpoint_is_data_error(tmp_path, corpus_dir,
                 "--out", str(tmp_path / "x")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,argv", [
+    pytest.param("model.ckpt", lambda bad, manifest, image: [
+        "reconstruct", "--checkpoint", bad, "--image", image,
+        "--mask-ratio", "0.75", "--seed", "0"], id="model.ckpt"),
+    pytest.param("run_state.bin", lambda bad, manifest, image: [
+        "pretrain", "--manifest", manifest, "--resume", bad], id="run_state.bin"),
+])
+def test_malformed_table_error_is_one_short_line(tmp_path, corpus_dir, pre_dir,
+                                                 capsys, name, argv):
+    # a 0xFFFF key length makes the key swallow the table and part of the
+    # data block; the error names the decode failure, not the bytes
+    bad = tmp_path / name
+    bad.write_bytes(_rewrite_first_param((pre_dir / name).read_bytes(), name_len=0xFFFF))
+    code = run(argv(str(bad), str(corpus_dir / "manifest.jsonl"),
+                    str(corpus_dir / "img_00000.pgm")) + ["--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 500, err[:200]
 
 
 # ---------------------------------------------------------------------------
@@ -1166,6 +1190,16 @@ def _lines(*objs):
                  id="landmarks-shape"),
     pytest.param(_lines(_HEADER, dict(_RECORD, landmarks=[[-1.0, 0.0]] * 5)), None,
                  id="landmarks-negative"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, landmarks=[[math.nan, 5.0]]
+                                      + _RECORD["landmarks"][1:])), None,
+                 id="landmarks-nan"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, landmarks=[[math.inf, 5.0]]
+                                      + _RECORD["landmarks"][1:])), None,
+                 id="landmarks-infinite"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, bbox="abcd")), None, id="bbox-a-string"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, bbox=[1, 2, 3])), None, id="bbox-three-numbers"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, bbox=[0, 0, math.nan, 4])), None,
+                 id="bbox-nan"),
     # read_manifest
     pytest.param("", None, id="manifest-empty-file"),
     pytest.param(_lines(dict(_HEADER, version=2)), None, id="manifest-bad-version"),

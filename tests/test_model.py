@@ -99,6 +99,13 @@ def test_pos_embed_distinguishes_grid_corners():
     assert (np.abs(table[0] - table[3]) > 0.1).any()
 
 
+def test_pos_embed_uses_base_10000():
+    # N=16, D=8: each axis has width 4, so column 1 is sin(row * 10000^(-1/2));
+    # token 15 sits on row 3
+    table = pos_embed_sincos(16, 8)
+    assert abs(table[15][1] - math.sin(3 * 10000.0 ** -0.5)) < 1e-12
+
+
 def test_pos_embed_rejects_bad_dims():
     with pytest.raises(ShapeError):
         pos_embed_sincos(15, 8)
@@ -443,6 +450,16 @@ def test_encoder_only_load_reports_shape_mismatches(tmp_path):
     with pytest.raises(CheckpointError) as ei:
         load_encoder_only(path, wider, np.random.default_rng(0))
     assert "patch_embed.w" in str(ei.value)
+
+
+def test_encoder_only_load_rejects_a_deeper_encoder(tmp_path):
+    # every encoder array of the file must land in the model: a pre-trained
+    # encoder deeper than the fine-tune model is not cut to its first blocks
+    path = tmp_path / "pre.ckpt"
+    save_weights(init_weights(tiny_config(enc_depth=2), np.random.default_rng(0)), path)
+    with pytest.raises(CheckpointError) as ei:
+        load_encoder_only(path, tiny_config(task="detect"), np.random.default_rng(0))
+    assert "enc.blocks.1.ln1.g: unexpected" in str(ei.value)
 
 
 def test_truncated_checkpoint_rejected(tmp_path):

@@ -211,7 +211,7 @@ def test_container_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(weights.read_bytes()).hexdigest() == \
         "6d76555f6c26ade8417bada40e227dc40b9bcc5924a650be7e06da8e2a86f14f"
     assert hashlib.sha256(state.read_bytes()).hexdigest() == \
-        "a474066fe8a2afcbffe10efced4aa76168a73f625ea1e90f90d75a9a11a1d286"
+        "24e332a021fd1a23b2a69b3ea7da25a89ec501d514cf96ed08a9919d04bde69f"
 
 
 def test_write_trace_appends(tmp_path):
@@ -229,6 +229,25 @@ def test_write_trace_appends(tmp_path):
 
 
 # ----------------------------------------------------------------- finetune
+
+def test_label_smoothing_pulls_bits_to_eps_halves(monkeypatch):
+    # mixing off, so every target is a hard bit smoothed to eps/2 or 1 - eps/2
+    seen = []
+
+    def recording(logits, labels, _loss=faceau.train.loss_detection):
+        seen.append(labels.occurrence.copy())
+        return _loss(logits, labels)
+
+    monkeypatch.setattr(faceau.train, "loss_detection", recording)
+    config = tiny_config("detect", epochs=1, label_smoothing=0.2,
+                         mixup_alpha=0.0, cutmix_alpha=0.0)
+    run = start_run(tiny_model("detect"), config)
+    finetune_loop(run, tiny_corpus())
+    targets = np.concatenate(seen)
+    assert len(seen) == 6
+    low, high = np.isclose(targets, 0.1), np.isclose(targets, 0.9)
+    assert (low | high).all() and low.any() and high.any()
+
 
 def test_finetune_detect_smoke_with_eval():
     corpus = tiny_corpus(count=9)
