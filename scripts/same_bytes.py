@@ -4,10 +4,13 @@ changes that must not alter any result.
     python3 scripts/same_bytes.py PARENT_DIR CHANGE_DIR [--work DIR]
 
 PARENT_DIR and CHANGE_DIR are two faceau checkouts. In each, the script
-runs one chain of small commands that covers all ten subcommands: `synth`,
-`pretrain` and its `--resume`, a detect `finetune` from the pre-trained
-checkpoint and an intensity `finetune` from scratch, `eval`, `reconstruct`,
-`stats`, `kfold`, `subsample`, `align` and `ablate-loss`. Every command
+runs one chain of small commands that covers all ten subcommands and each
+way a training command resolves its config: `synth`; `pretrain`, its replay
+from its `resolved.cfg`, a `--resume` with that snapshot and one with flags
+only; a detect `finetune` from the pre-trained checkpoint, an intensity
+`finetune` from scratch and a sparse-frames (`--fraction`) one; `eval`,
+`reconstruct`, `stats`, `kfold`, `subsample`, `align`; and `ablate-loss`
+and its replay from its `resolved.cfg`. Every command
 runs in its own subprocess under `OPENBLAS_NUM_THREADS=1`, with the
 checkout's `src` first on `PYTHONPATH`, and writes under the same path
 (`DIR/run`, a temporary directory by default) for both checkouts, so that
@@ -39,6 +42,12 @@ COMMANDS = [
                "--image-size", "16", "--out", "data"]),
     ("pretrain", ["pretrain", *MANIFEST, "--out", "pre", "--seed", "0",
                   "--epochs", "2", "--random-crop", "true", *TINY_MODEL, *TRAIN]),
+    # both read pre/resolved.cfg before pretrain-resume rewrites it
+    ("pretrain-replay", ["pretrain", *MANIFEST, "--config", "pre/resolved.cfg",
+                         "--out", "pre_replay"]),
+    ("pretrain-snapshot-resume", ["pretrain", *MANIFEST, "--config", "pre/resolved.cfg",
+                                  "--resume", "pre/run_state.bin", "--epochs", "3",
+                                  "--out", "pre_snap"]),
     ("pretrain-resume", ["pretrain", *MANIFEST, "--out", "pre",
                          "--resume", "pre/run_state.bin", "--epochs", "3"]),
     ("finetune-detect", ["finetune", "--task", "detect",
@@ -51,6 +60,10 @@ COMMANDS = [
                             *MANIFEST, "--eval-manifest", "data/manifest.jsonl",
                             "--out", "ft_int", "--seed", "1", "--epochs", "2",
                             *TINY_MODEL, *TRAIN]),
+    ("finetune-fraction", ["finetune", "--task", "detect", "--init", "scratch",
+                           *MANIFEST, "--eval-manifest", "data/manifest.jsonl",
+                           "--fraction", "0.1", "--out", "ft_frac", "--seed", "2",
+                           *TINY_MODEL, *TRAIN]),
     ("eval", ["eval", "--checkpoint", "ft/model.ckpt", *MANIFEST, "--out", "ev"]),
     ("reconstruct", ["reconstruct", "--checkpoint", "pre/model.ckpt",
                      "--image", "data/img_00000.pgm", "--mask-ratio", "0", "0.5",
@@ -63,6 +76,9 @@ COMMANDS = [
                      "data/manifest.jsonl", "--seed", "0", "--pretrain-epochs", "1",
                      "--finetune-epochs", "1", "--warmup-epochs", "0",
                      "--batch-size", "4", *TINY_MODEL, "--out", "abl"]),
+    ("ablate-replay", ["ablate-loss", *MANIFEST, "--eval-manifest",
+                       "data/manifest.jsonl", "--config", "abl/resolved.cfg",
+                       "--out", "abl_replay"]),
 ]
 
 

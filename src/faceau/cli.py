@@ -104,10 +104,12 @@ def parse_config_file(path):
     return values
 
 
-def _resolve_options(args, file_values, tables):
-    """flag > file > absent; casts and rejects unknown file keys."""
+def _resolve_options(args):
+    """The command's option values from --config and the flags (flag > file
+    > absent); casts each and rejects unknown file keys."""
+    file_values = parse_config_file(args.config) if args.config else {}
     known = {}
-    for table in tables:
+    for table in COMMAND_OPTIONS[args.command]:
         known.update(table)
     unknown = [k for k in file_values if k not in known]
     if unknown:
@@ -122,83 +124,47 @@ def _resolve_options(args, file_values, tables):
     return resolved
 
 
-def _ablate_stages(values):
-    """TrainConfig overrides of the grid's pre-train and fine-tune stages."""
-    shared = dict(warmup_epochs=values["warmup_epochs"],
-                  batch_size=values["batch_size"])
-    return {
-        "pretrain": dict(shared, epochs=values["pretrain_epochs"],
-                         base_lr=values["base_lr"], random_crop=False),
-        "detect": dict(shared, epochs=values["finetune_epochs"],
-                       base_lr=values["finetune_base_lr"], drop_path_rate=0.0,
-                       randaug_magnitude=0, randaug_prob=0.0,
-                       mixup_alpha=0.0, cutmix_alpha=0.0),
-    }
-
-
-def resolve_run(args, run=None):
-    """The one config path of pretrain (fresh, or resuming `run`), finetune
-    and ablate-loss. It reads --config and the flags (flag > file); starts
-    from the model and train presets, or from the run state's two configs
-    when resuming; builds the ModelConfig and TrainConfig of each stage;
-    checks the run-level arguments; sets checkpoint_every, unless given, to
-    train.checkpoint_period of the epoch budget in effect; and returns
-    ([(model config, train config) per stage], resolved.cfg values). It
-    reads no manifest and writes nothing."""
-    file_values = parse_config_file(args.config) if args.config else {}
-    given = _resolve_options(args, file_values, COMMAND_OPTIONS[args.command])
+def resolve_stage(given, task, train_over, run=None):
+    """One checked (ModelConfig, TrainConfig) pair of a `task` stage: the
+    model and train presets with the `given` model keys and `train_over`,
+    or, resuming `run`, the run state's two configs with `train_over`. On
+    resume the seed and the model come from the run state, so a given seed,
+    model key or model_preset must agree with it. Reads no manifest and
+    writes nothing."""
     model_over = {k: v for k, v in given.items() if k in MODEL_OPTIONS}
-    if args.command == "ablate-loss":
-        given = {**ABLATE_DEFAULTS, **given}
-        stage_over = _ablate_stages(given)
-    else:
-        task = getattr(args, "task", "pretrain")
-        stage_over = {task: {k: v for k, v in given.items() if k in TRAIN_OPTIONS}}
     if run is None:
         if "seed" not in given:
             raise ValueError("--seed is required (flag or config file)")
-        preset_name = given.get("model_preset", "desk")
-        stages = [(preset(preset_name, task=task, **model_over),
-                   train_preset(task, seed=given["seed"], **over))
-                  for task, over in stage_over.items()]
+        model_config = preset(given.get("model_preset", "desk"), task=task, **model_over)
+        config = train_preset(task, seed=given["seed"], **train_over)
     else:
         if run.config.task != task:
             raise TrainError(f"run state has task {run.config.task!r}")
-        kept = {"seed": run.config.seed, **dataclasses.asdict(run.weights.config)}
+        model_config = run.weights.config
+        kept = {"seed": run.config.seed, **dataclasses.asdict(model_config)}
         clash = sorted(k for k, v in given.items()
-                       if k == "model_preset" or kept.get(k, v) != v)
+                       if kept.get(k, v) != v or k == "model_preset"
+                       and preset(v, task=task, **model_over) != model_config)
         if clash:
             raise TrainError("on resume the seed and the model come from the "
                              f"run state; these keys differ from it: {clash}")
-        preset_name = None  # every model field is in the snapshot anyway
-        stages = [(run.weights.config,
-                   dataclasses.replace(run.config, **stage_over[task]))]
-    if args.command != "ablate-loss":
-        [(model_config, config)] = stages
-        if args.command == "finetune":
-            if args.fold is not None and args.eval_manifest:
-                raise ValueError("--fold and --eval-manifest are mutually exclusive")
-            if config.eval_every > 0 and args.fold is None and not args.eval_manifest:
-                raise TrainError("eval_every > 0 needs a held-out set: "
-                                 "--fold or --eval-manifest")
-            if args.fraction is not None:
-                config = dataclasses.replace(
-                    config, epochs=protocol_epochs(args.fraction))
-        if "checkpoint_every" not in given:
-            config = dataclasses.replace(
-                config, checkpoint_every=checkpoint_period(config.epochs))
-        stages = [(model_config, config)]
-    for model_config, config in stages:
-        check_stage(model_config, config)
+        config = dataclasses.replace(run.config, **train_over)
+    check_stage(model_config, config)
+    return model_config, config
 
-    values = {"seed": stages[0][1].seed, "model_preset": preset_name}
-    if args.command == "ablate-loss":
-        values.update({k: given[k] for k in ABLATE_OPTIONS}, **model_over)
-    else:
-        model_config, config = stages[0]
-        values.update({k: getattr(model_config, k) for k in MODEL_OPTIONS})
-        values.update({k: getattr(config, k) for k in TRAIN_OPTIONS})
-    return stages, values
+
+def _snapshot(given, model_config, config, resumed=False):
+    """A pretrain or finetune stage with checkpoint_every, unless given, set
+    to train.checkpoint_period of its epoch budget; and its resolved.cfg
+    values (no model_preset on resume: every model field is in them)."""
+    if "checkpoint_every" not in given:
+        config = dataclasses.replace(
+            config, checkpoint_every=checkpoint_period(config.epochs))
+    values = {"seed": config.seed,
+              "model_preset": None if resumed else given.get("model_preset", "desk")}
+    values.update({k: getattr(model_config, k) for k in MODEL_OPTIONS})
+    values.update({k: getattr(config, k) for k in TRAIN_OPTIONS})
+    return config, values
 
 
 def _format_value(value):
@@ -242,7 +208,10 @@ def _load_checked(manifest, model_config):
 
 def cmd_pretrain(args):
     run = load_run_state(args.resume) if args.resume else None
-    [(model_config, config)], values = resolve_run(args, run)
+    given = _resolve_options(args)
+    train_over = {k: v for k, v in given.items() if k in TRAIN_OPTIONS}
+    model_config, config = resolve_stage(given, "pretrain", train_over, run)
+    config, values = _snapshot(given, model_config, config, resumed=run is not None)
     comments = ["command = pretrain", f"manifest = {args.manifest}"]
     if args.resume:
         comments.append(f"resume = {args.resume}")
@@ -285,7 +254,17 @@ def _write_metrics(out, report):
 
 def cmd_finetune(args):
     init_path = _parse_init(args.init)
-    [(model_config, config)], values = resolve_run(args)
+    given = _resolve_options(args)
+    train_over = {k: v for k, v in given.items() if k in TRAIN_OPTIONS}
+    model_config, config = resolve_stage(given, args.task, train_over)
+    if args.fold is not None and args.eval_manifest:
+        raise ValueError("--fold and --eval-manifest are mutually exclusive")
+    if config.eval_every > 0 and args.fold is None and not args.eval_manifest:
+        raise TrainError("eval_every > 0 needs a held-out set: "
+                         "--fold or --eval-manifest")
+    if args.fraction is not None:
+        config = dataclasses.replace(config, epochs=protocol_epochs(args.fraction))
+    config, values = _snapshot(given, model_config, config)
     comments = [f"command = finetune --task {args.task}",
                 f"manifest = {args.manifest}", f"init = {args.init}"]
     if args.fraction is not None:
@@ -476,14 +455,18 @@ def cmd_subsample(args):
 
 def cmd_align(args):
     manifest = read_manifest(args.manifest)
+    first = {}
     for i, rec in enumerate(manifest.records):
         if rec.landmarks is None:
             raise ManifestError(f"record {i} has no landmarks; cannot align")
         # each aligned image goes to its record's path under --out
-        if (os.path.isabs(rec.image_path)
-                or os.path.normpath(rec.image_path).split(os.sep)[0] == ".."):
+        path = os.path.normpath(rec.image_path)
+        if os.path.isabs(path) or path.split(os.sep)[0] == "..":
             raise ManifestError(f"record {i} image {rec.image_path!r} is not "
                                 "inside the manifest's directory; cannot align")
+        if first.setdefault(path, i) != i:
+            raise ManifestError(f"records {first[path]} and {i} both name image "
+                                f"{path!r}; cannot align")
     paths = [os.path.join(args.out, rec.image_path) for rec in manifest.records]
     _refuse_overwrite(paths + [os.path.join(args.out, "manifest.jsonl")],
                       [args.manifest, *map(manifest.resolve, manifest.records)])
@@ -539,7 +522,18 @@ def _data_order_hash(seed, epochs, count):
 
 
 def cmd_ablate_loss(args):
-    [(model_pre, pre_cfg), (model_ft, ft_cfg)], values = resolve_run(args)
+    given = {**ABLATE_DEFAULTS, **_resolve_options(args)}
+    shared = dict(warmup_epochs=given["warmup_epochs"], batch_size=given["batch_size"])
+    model_pre, pre_cfg = resolve_stage(given, "pretrain", dict(
+        shared, epochs=given["pretrain_epochs"], base_lr=given["base_lr"],
+        random_crop=False))
+    model_ft, ft_cfg = resolve_stage(given, "detect", dict(
+        shared, epochs=given["finetune_epochs"], base_lr=given["finetune_base_lr"],
+        drop_path_rate=0.0, randaug_magnitude=0, randaug_prob=0.0,
+        mixup_alpha=0.0, cutmix_alpha=0.0))
+    values = {"seed": pre_cfg.seed, "model_preset": given.get("model_preset", "desk"),
+              **{k: given[k] for k in ABLATE_OPTIONS},
+              **{k: v for k, v in given.items() if k in MODEL_OPTIONS}}
     manifest = read_manifest(args.manifest)
     eval_manifest = read_manifest(args.eval_manifest)
     for checked in (manifest, eval_manifest):

@@ -506,6 +506,12 @@ class _Reader:
         return struct.unpack(fmt, self.take(size))[0]
 
 
+def _cap(key):
+    """A stored key as an error message quotes it: at most 80 characters,
+    as a key may be 65,535 bytes long."""
+    return key if len(key) <= 80 else key[:80] + "..."
+
+
 def read_container(path, magic, decode):
     """Checksum-, magic- and version-checked read of a container; returns
     decode(meta, arrays) with arrays as {key: float32 ndarray}. Anything
@@ -536,7 +542,7 @@ def read_container(path, magic, decode):
         for key, shape, offset in table:
             count = math.prod(shape)
             if offset + 4 * count > len(blob):
-                raise CheckpointError(f"{path}: array {key!r} extends past the data block")
+                raise CheckpointError(f"{path}: array {_cap(key)!r} extends past the data block")
             arrays[key] = np.frombuffer(blob, dtype="<f4", count=count,
                                         offset=offset).reshape(shape).copy()
         return decode(meta, arrays)
@@ -555,7 +561,7 @@ def match_arrays(arrays, expected):
     problems += [f"{key}: file {arrays[key].shape} vs model {shape}"
                  for key, shape in expected.items()
                  if key in arrays and arrays[key].shape != shape]
-    problems += [f"{key}: unexpected" for key in arrays if key not in expected]
+    problems += [f"{_cap(key)}: unexpected" for key in arrays if key not in expected]
     if problems:
         raise CheckpointError("parameter mismatch; " + "; ".join(problems))
     return {key: arrays[key].astype(ng.default_dtype(), copy=False) for key in expected}

@@ -487,6 +487,23 @@ def test_resume_rejects_model_shape_flags(tmp_path, corpus_dir, pre_dir, capsys)
     assert "enc_depth" in capsys.readouterr().err
 
 
+def test_resume_accepts_its_own_snapshot(tmp_path, corpus_dir, pre_dir, capsys):
+    # resolved.cfg names model_preset; it agrees with the run state, so the
+    # resume equals a flag-only one, while another preset is still a clash
+    base = ["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl"),
+            "--resume", str(pre_dir / "run_state.bin")]
+    snap, flags = tmp_path / "snap", tmp_path / "flags"
+    assert run(base + ["--config", str(pre_dir / "resolved.cfg"), "--epochs", "3",
+                       "--out", str(snap)]) == 0
+    assert run(base + ["--epochs", "3", "--out", str(flags)]) == 0
+    for name in ("model.ckpt", "trace.csv"):
+        assert (snap / name).read_bytes() == (flags / name).read_bytes(), name
+    capsys.readouterr()
+    assert run(base + ["--model-preset", "full", "--out", str(tmp_path / "x")]) == 2
+    assert "['model_preset']" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_manifest_is_data_error(tmp_path, capsys):
     code = run(["stats", "--manifest", str(tmp_path / "nope.jsonl"),
                 "--out", str(tmp_path / "x")])
@@ -851,13 +868,16 @@ def _rewrite_meta(raw, edit):
                    + raw[12 + meta_len:-4])
 
 
-def _rewrite_first_param(raw, name_byte=None, offset=None, name_len=None):
-    """A real container with its first table entry's name, offset or name
-    length replaced and its checksum recomputed."""
+def _rewrite_first_param(raw, name_byte=None, offset=None, name_len=None, name=None):
+    """A real container with its first table entry's name (or one byte of
+    it), offset or name length replaced and its checksum recomputed."""
     body = bytearray(raw[:-4])
     (meta_len,) = struct.unpack("<I", body[8:12])
     pos = 12 + meta_len + 4  # past the meta JSON and n_params
     (stored_len,) = struct.unpack("<H", body[pos:pos + 2])
+    if name is not None:  # offsets count from the data block: none shift
+        body[pos:pos + 2 + stored_len] = struct.pack("<H", len(name)) + name
+        stored_len = len(name)
     if name_len is not None:
         body[pos:pos + 2] = struct.pack("<H", name_len)
     if name_byte is not None:
@@ -949,6 +969,25 @@ def test_malformed_table_error_is_one_short_line(tmp_path, corpus_dir, pre_dir,
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 500, err[:200]
+
+
+@pytest.mark.parametrize("offset,problem", [
+    pytest.param(None, "unexpected", id="unexpected-key"),
+    pytest.param(1 << 40, "past the data block", id="offset-past-end"),
+])
+def test_long_stored_key_error_is_one_short_line(tmp_path, corpus_dir, pre_dir,
+                                                 capsys, offset, problem):
+    # a valid 60,000-character key is quoted capped, not in full
+    bad = tmp_path / "model.ckpt"
+    bad.write_bytes(_rewrite_first_param((pre_dir / "model.ckpt").read_bytes(),
+                                         name=b"k" * 60000, offset=offset))
+    code = run(["reconstruct", "--checkpoint", str(bad),
+                "--image", str(corpus_dir / "img_00000.pgm"),
+                "--mask-ratio", "0.75", "--seed", "0", "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 500, err[:200]
+    assert problem in err
 
 
 # ---------------------------------------------------------------------------
@@ -1174,6 +1213,11 @@ def _lines(*objs):
     pytest.param(_lines(_HEADER, _RECORD), b"P5 16 16", id="image-truncated-header"),
     pytest.param(_lines(_HEADER, _RECORD), b"P5 16 x 255\n", id="image-non-numeric-field"),
     pytest.param(_lines(_HEADER, _RECORD), b"P5 0 16 255\n", id="image-bad-dimensions"),
+    # align's output paths
+    pytest.param(_lines(_HEADER, _RECORD, dict(_RECORD, image="./img.pgm", frame=1,
+                                               landmarks=[[4.0, 6.0]]
+                                               + _RECORD["landmarks"][1:])),
+                 b"P5 16 16 255\n" + bytes(256), id="records-sharing-an-image"),
     # SampleRecord.validate
     pytest.param(_lines(_HEADER, dict(_RECORD, occurrence=[0, 2])), None,
                  id="occurrence-not-binary"),
