@@ -8,7 +8,8 @@ runs one chain of small commands that covers all ten subcommands and each
 way a training command resolves its config: `synth`; `pretrain`, its replay
 from its `resolved.cfg`, a `--resume` with that snapshot and one with flags
 only; a detect `finetune` from the pre-trained checkpoint, an intensity
-`finetune` from scratch and a sparse-frames (`--fraction`) one; `eval`,
+`finetune` from scratch, a sparse-frames (`--fraction`) one and one whose
+`--warmup-epochs 30` only the protocol's epoch budget admits; `eval`,
 `reconstruct`, `stats`, `kfold`, `subsample`, `align`; and `ablate-loss`
 and its replay from its `resolved.cfg`. Every command
 runs in its own subprocess under `OPENBLAS_NUM_THREADS=1`, with the
@@ -64,6 +65,11 @@ COMMANDS = [
                            *MANIFEST, "--eval-manifest", "data/manifest.jsonl",
                            "--fraction", "0.1", "--out", "ft_frac", "--seed", "2",
                            *TINY_MODEL, *TRAIN]),
+    # the protocol's 200-epoch budget, not TRAIN's, bounds this warmup
+    ("finetune-fraction-warmup", ["finetune", "--task", "detect", "--init", "scratch",
+                                  *MANIFEST, "--fraction", "0.1", "--warmup-epochs", "30",
+                                  "--out", "ft_frac_warm", "--seed", "2", *TINY_MODEL,
+                                  "--batch-size", "4", "--base-lr", "2.56e-3"]),
     ("eval", ["eval", "--checkpoint", "ft/model.ckpt", *MANIFEST, "--out", "ev"]),
     ("reconstruct", ["reconstruct", "--checkpoint", "pre/model.ckpt",
                      "--image", "data/img_00000.pgm", "--mask-ratio", "0", "0.5",

@@ -124,14 +124,17 @@ def _resolve_options(args):
     return resolved
 
 
-def resolve_stage(given, task, train_over, run=None):
-    """One checked (ModelConfig, TrainConfig) pair of a `task` stage: the
-    model and train presets with the `given` model keys and `train_over`,
-    or, resuming `run`, the run state's two configs with `train_over`. On
+def resolve_stage(given, task, run=None, **fixed):
+    """One checked (ModelConfig, TrainConfig) pair of a `task` stage, exactly
+    as it will train: the model and train presets with the `given` model and
+    train keys and the command's `fixed` train fields over them, or, resuming
+    `run`, the run state's two configs with those train fields. Unless given,
+    checkpoint_every is train.checkpoint_period of the final epoch budget. On
     resume the seed and the model come from the run state, so a given seed,
     model key or model_preset must agree with it. Reads no manifest and
     writes nothing."""
     model_over = {k: v for k, v in given.items() if k in MODEL_OPTIONS}
+    train_over = {**{k: v for k, v in given.items() if k in TRAIN_OPTIONS}, **fixed}
     if run is None:
         if "seed" not in given:
             raise ValueError("--seed is required (flag or config file)")
@@ -149,22 +152,21 @@ def resolve_stage(given, task, train_over, run=None):
             raise TrainError("on resume the seed and the model come from the "
                              f"run state; these keys differ from it: {clash}")
         config = dataclasses.replace(run.config, **train_over)
+    if "checkpoint_every" not in given:
+        config = dataclasses.replace(
+            config, checkpoint_every=checkpoint_period(config.epochs))
     check_stage(model_config, config)
     return model_config, config
 
 
 def _snapshot(given, model_config, config, resumed=False):
-    """A pretrain or finetune stage with checkpoint_every, unless given, set
-    to train.checkpoint_period of its epoch budget; and its resolved.cfg
-    values (no model_preset on resume: every model field is in them)."""
-    if "checkpoint_every" not in given:
-        config = dataclasses.replace(
-            config, checkpoint_every=checkpoint_period(config.epochs))
+    """The resolved.cfg values of a pretrain or finetune stage (no
+    model_preset on resume: every model field is in them)."""
     values = {"seed": config.seed,
               "model_preset": None if resumed else given.get("model_preset", "desk")}
     values.update({k: getattr(model_config, k) for k in MODEL_OPTIONS})
     values.update({k: getattr(config, k) for k in TRAIN_OPTIONS})
-    return config, values
+    return values
 
 
 def _format_value(value):
@@ -177,16 +179,20 @@ def _format_value(value):
     return str(value)
 
 
-def open_out(args, values=None, comments=()):
-    """Create --out and write its resolved.cfg: `values`, or else the parsed
-    arguments in parse order. Every command calls this once, after all of
-    its inputs are read and checked, before any other output."""
+def open_out(args, values=None):
+    """Create --out and write its resolved.cfg: the settings as keys
+    (`values`, or else the parsed arguments) and every other parsed argument
+    but --config as a comment, in parse order. Every command calls this
+    once, after all of its inputs are read and checked, before any other
+    output."""
+    parsed = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "out", "config") and v is not None}
     if values is None:
-        values = {k: v for k, v in vars(args).items()
-                  if k not in ("command", "func", "out")}
+        values = parsed
     os.makedirs(args.out, exist_ok=True)
     lines = [f"# faceau {args.command}"]
-    lines += [f"# {c}" for c in comments]
+    lines += [f"# {key} = {_format_value(value)}"
+              for key, value in parsed.items() if key not in values]
     lines.append("config_version = 1")
     lines += [f"{key} = {_format_value(value)}"
               for key, value in values.items() if value is not None]
@@ -209,12 +215,8 @@ def _load_checked(manifest, model_config):
 def cmd_pretrain(args):
     run = load_run_state(args.resume) if args.resume else None
     given = _resolve_options(args)
-    train_over = {k: v for k, v in given.items() if k in TRAIN_OPTIONS}
-    model_config, config = resolve_stage(given, "pretrain", train_over, run)
-    config, values = _snapshot(given, model_config, config, resumed=run is not None)
-    comments = ["command = pretrain", f"manifest = {args.manifest}"]
-    if args.resume:
-        comments.append(f"resume = {args.resume}")
+    model_config, config = resolve_stage(given, "pretrain", run)
+    values = _snapshot(given, model_config, config, resumed=run is not None)
     manifest = read_manifest(args.manifest)
     require_records(manifest)
     corpus = _load_checked(manifest, model_config)
@@ -222,7 +224,7 @@ def cmd_pretrain(args):
         run = start_run(model_config, config)
     else:
         run.config = config
-    out = open_out(args, values, comments)
+    out = open_out(args, values)
     rows = pretrain_loop(run, corpus, checkpoint=os.path.join(out, "run_state.bin"))
     write_trace(os.path.join(out, "trace.csv"), run.trace)
     ckpt = os.path.join(out, "model.ckpt")
@@ -255,25 +257,14 @@ def _write_metrics(out, report):
 def cmd_finetune(args):
     init_path = _parse_init(args.init)
     given = _resolve_options(args)
-    train_over = {k: v for k, v in given.items() if k in TRAIN_OPTIONS}
-    model_config, config = resolve_stage(given, args.task, train_over)
+    fixed = {} if args.fraction is None else {"epochs": protocol_epochs(args.fraction)}
+    model_config, config = resolve_stage(given, args.task, **fixed)
     if args.fold is not None and args.eval_manifest:
         raise ValueError("--fold and --eval-manifest are mutually exclusive")
     if config.eval_every > 0 and args.fold is None and not args.eval_manifest:
         raise TrainError("eval_every > 0 needs a held-out set: "
                          "--fold or --eval-manifest")
-    if args.fraction is not None:
-        config = dataclasses.replace(config, epochs=protocol_epochs(args.fraction))
-    config, values = _snapshot(given, model_config, config)
-    comments = [f"command = finetune --task {args.task}",
-                f"manifest = {args.manifest}", f"init = {args.init}"]
-    if args.fraction is not None:
-        comments.append(f"fraction = {args.fraction}")
-    if args.fold is not None:
-        comments.append(f"fold = {args.fold} of {args.num_folds}")
-    if args.eval_manifest:
-        comments.append(f"eval_manifest = {args.eval_manifest}")
-
+    values = _snapshot(given, model_config, config)
     outputs = ("resolved.cfg", "trace.csv", "model.ckpt", "run_state.bin",
                "metrics.csv", "metrics.txt")
     _refuse_overwrite([os.path.join(args.out, name) for name in outputs],
@@ -298,7 +289,7 @@ def cmd_finetune(args):
     corpus = _load_checked(manifest, model_config)
     eval_corpus = _load_checked(eval_manifest, model_config) if eval_manifest else None
     run = start_run(model_config, config, init_from=init_path)
-    out = open_out(args, values, comments)
+    out = open_out(args, values)
     _, reports = finetune_loop(run, corpus, eval_corpus=eval_corpus,
                                checkpoint=os.path.join(out, "run_state.bin"))
     write_trace(os.path.join(out, "trace.csv"), run.trace)
@@ -523,14 +514,13 @@ def _data_order_hash(seed, epochs, count):
 
 def cmd_ablate_loss(args):
     given = {**ABLATE_DEFAULTS, **_resolve_options(args)}
-    shared = dict(warmup_epochs=given["warmup_epochs"], batch_size=given["batch_size"])
-    model_pre, pre_cfg = resolve_stage(given, "pretrain", dict(
-        shared, epochs=given["pretrain_epochs"], base_lr=given["base_lr"],
-        random_crop=False))
-    model_ft, ft_cfg = resolve_stage(given, "detect", dict(
-        shared, epochs=given["finetune_epochs"], base_lr=given["finetune_base_lr"],
+    # warmup_epochs, batch_size and base_lr are train keys of both stages
+    model_pre, pre_cfg = resolve_stage(given, "pretrain", epochs=given["pretrain_epochs"],
+                                       random_crop=False)
+    model_ft, ft_cfg = resolve_stage(
+        given, "detect", epochs=given["finetune_epochs"], base_lr=given["finetune_base_lr"],
         drop_path_rate=0.0, randaug_magnitude=0, randaug_prob=0.0,
-        mixup_alpha=0.0, cutmix_alpha=0.0))
+        mixup_alpha=0.0, cutmix_alpha=0.0)
     values = {"seed": pre_cfg.seed, "model_preset": given.get("model_preset", "desk"),
               **{k: given[k] for k in ABLATE_OPTIONS},
               **{k: v for k, v in given.items() if k in MODEL_OPTIONS}}
@@ -541,10 +531,7 @@ def cmd_ablate_loss(args):
     corpus = _load_checked(manifest, model_ft)
     eval_corpus = _load_checked(eval_manifest, model_ft)
     order_hash = _data_order_hash(pre_cfg.seed, pre_cfg.epochs, len(corpus))
-    out = open_out(args, values,
-                   [f"manifest = {args.manifest}",
-                    f"eval_manifest = {args.eval_manifest}",
-                    "grid = L2 w/o norm, L2 w/ norm, L1 w/o norm, L1 w/ norm"])
+    out = open_out(args, values)
 
     lines = ["variant,recon_loss,norm_pix_target,data_order,"
              "pretrain_loss,avg_f1"]

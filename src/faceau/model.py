@@ -69,6 +69,18 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.mlp_ratio <= 0:
             raise ConfigError(f"mlp_ratio must be > 0, got {self.mlp_ratio}")
+        least = {"image_size": 1, "patch_size": 1, "enc_depth": 0, "enc_width": 1,
+                 "enc_heads": 1, "dec_depth": 0, "dec_width": 1, "dec_heads": 1}
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("enc_width", "dec_width"):
+            width = getattr(self, name)
+            if width % 4 != 0:  # the sine-cosine position table splits it in four
+                raise ConfigError(f"{name} {width} not divisible by 4")
+            if int(width * self.mlp_ratio) < 1:  # the MLP's hidden width
+                raise ConfigError(f"{name} {width} x mlp_ratio {self.mlp_ratio} "
+                                  "gives an MLP hidden width below 1")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.enc_width % self.enc_heads != 0:

@@ -108,6 +108,8 @@ def synth_corpus(seed, count, image_size=32, num_aus=4, num_subjects=10,
         raise ValueError("count must be >= 1")
     if num_subjects < 1:
         raise ValueError("num_subjects must be >= 1")
+    if image_size < 1:
+        raise ValueError(f"image_size must be >= 1, got {image_size}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
     jitters = [_subject_jitter(seed, i) for i in range(num_subjects)]
     records, images = [], []

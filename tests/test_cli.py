@@ -244,6 +244,16 @@ def test_tooling_snapshots_record_their_arguments(tmp_path, corpus_dir,
         assert lines == [f"# faceau {command}", "config_version = 1", *values]
 
 
+def test_finetune_snapshot_records_its_other_arguments(corpus_dir, ft_dir):
+    # settings are keys; every other argument but --out and --config is a
+    # comment, in parse order
+    lines = (ft_dir / "resolved.cfg").read_text().splitlines()
+    assert [line for line in lines if line.startswith("#")] == [
+        "# faceau finetune", "# task = detect", "# init = scratch",
+        f"# manifest = {corpus_dir / 'manifest.jsonl'}", "# fold = 0",
+        "# num_folds = 3"]
+
+
 def _small_corpus(tmp_path):
     data = tmp_path / "d"
     assert run(["synth", "--seed", "2", "--count", "6", "--num-subjects", "3",
@@ -609,6 +619,9 @@ def _reconstruct(p, ckpt, *ratios):
     pytest.param(lambda p: _finetune(p, "--eval-manifest", _manifest(p),
                                      "--fraction", "0.3"), 2,
                  id="finetune-fraction-off-table"),
+    pytest.param(lambda p: _finetune(p, "--fraction", "0.1")
+                 + ["--warmup-epochs", "201"], 2,
+                 id="finetune-fraction-warmup-above-protocol-epochs"),
     pytest.param(lambda p: _finetune(p, "--eval-every", "1"), 2,
                  id="finetune-eval-every-without-held-out"),
     pytest.param(lambda p: ["finetune", "--task", "detect", "--init", "scratch",
@@ -648,6 +661,28 @@ def _reconstruct(p, ckpt, *ratios):
                  id="pretrain-mlp-ratio-inf"),
     pytest.param(lambda p: _pretrain(p, "--mlp-ratio", "0"), 2,
                  id="pretrain-mlp-ratio-zero"),
+    pytest.param(lambda p: _pretrain(p, "--enc-heads", "0"), 2,
+                 id="pretrain-enc-heads-zero"),
+    pytest.param(lambda p: _pretrain(p, "--dec-heads", "0"), 2,
+                 id="pretrain-dec-heads-zero"),
+    pytest.param(lambda p: _pretrain(p, "--patch-size", "0"), 2,
+                 id="pretrain-patch-size-zero"),
+    pytest.param(lambda p: _pretrain(p, "--enc-width", "0", "--enc-heads", "1"), 2,
+                 id="pretrain-enc-width-zero"),
+    pytest.param(lambda p: _pretrain(p, "--enc-heads", "-2"), 2,
+                 id="pretrain-enc-heads-negative"),
+    pytest.param(lambda p: _pretrain(p, "--patch-size", "-4"), 2,
+                 id="pretrain-patch-size-negative"),
+    pytest.param(lambda p: _pretrain(p, "--mlp-ratio", "0.001"), 2,
+                 id="pretrain-mlp-hidden-width-zero"),
+    pytest.param(lambda p: _pretrain(p, "--enc-depth", "-1"), 2,
+                 id="pretrain-enc-depth-negative"),
+    pytest.param(lambda p: ["ablate-loss", "--manifest", _manifest(p),
+                            "--eval-manifest", _manifest(p), "--seed", "0",
+                            *TINY_MODEL, "--enc-width", "6", "--enc-heads", "2"], 2,
+                 id="ablate-enc-width-not-divisible-by-4"),
+    pytest.param(lambda p: ["synth", "--seed", "1", "--count", "2",
+                            "--image-size", "0"], 2, id="synth-image-size-zero"),
     pytest.param(lambda p: _finetune(p) + ["--drop-path-rate", "nan"], 2,
                  id="finetune-drop-path-rate-nan"),
     pytest.param(lambda p: _eval(p, "--threshold", "nan"), 2, id="eval-threshold-nan"),
@@ -764,6 +799,24 @@ def test_finetune_fraction_reports_subset(tmp_path, capsys):
     assert "200 epochs" in printed
     # the sparse protocol dictates the epoch budget
     assert "epochs = 200" in (out / "resolved.cfg").read_text()
+
+
+@pytest.mark.parametrize("warmup,flags", [
+    ("10", []),  # the detect preset's warmup, above the given --epochs 5
+    ("30", ["--warmup-epochs", "30"]),
+])
+def test_finetune_fraction_sets_the_budget_before_the_checks(tmp_path, corpus_dir,
+                                                             warmup, flags):
+    # every 10th frame of each of the 3 subjects: 200 steps of 3 records
+    out = tmp_path / "ft"
+    assert run(["finetune", "--task", "detect", "--init", "scratch",
+                "--manifest", str(corpus_dir / "manifest.jsonl"),
+                "--fraction", "0.1", "--epochs", "5", "--out", str(out),
+                "--seed", "0", *TINY_MODEL, "--batch-size", "4",
+                "--base-lr", "1e-3", *flags]) == 0
+    lines = (out / "resolved.cfg").read_text().splitlines()
+    for line in ("epochs = 200", f"warmup_epochs = {warmup}", "checkpoint_every = 10"):
+        assert line in lines
 
 
 def test_finetune_fold_and_eval_manifest_conflict(tmp_path, corpus_dir, capsys):

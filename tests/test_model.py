@@ -185,6 +185,12 @@ def test_config_validation():
         ModelConfig(num_aus=0)
     with pytest.raises(ConfigError):
         ModelConfig(task="segment")
+    for bad in (dict(enc_heads=0), dict(dec_heads=0), dict(patch_size=0),
+                dict(enc_width=0, enc_heads=1), dict(enc_heads=-2),
+                dict(patch_size=-4), dict(mlp_ratio=0.001), dict(enc_depth=-1),
+                dict(enc_width=6, enc_heads=2)):
+        with pytest.raises(ConfigError):
+            ModelConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
