@@ -11,7 +11,13 @@ only; a detect `finetune` from the pre-trained checkpoint, an intensity
 `finetune` from scratch, a sparse-frames (`--fraction`) one and one whose
 `--warmup-epochs 30` only the protocol's epoch budget admits; `eval`,
 `reconstruct`, `stats`, `kfold`, `subsample`, `align`; and `ablate-loss`
-and its replay from its `resolved.cfg`. Every command
+and its replay from its `resolved.cfg`. Then, since a batch of the tiny
+model fits one chunk of samples, it runs the desk-width model (the `desk`
+preset on a second, 32-pixel `synth` corpus), whose batches span several
+chunks: a `pretrain` with batch 6 (chunks of 4 and 2) and a detect
+`finetune` from its checkpoint with batch 5 (chunks of 2, 2 and 1), mixup,
+cutmix, drop path, RandAugment, smoothing and per-epoch held-out scoring;
+and last a tiny detect `finetune --freeze-encoder true`. Every command
 runs in its own subprocess under `OPENBLAS_NUM_THREADS=1`, with the
 checkout's `src` first on `PYTHONPATH`, and writes under the same path
 (`DIR/run`, a temporary directory by default) for both checkouts, so that
@@ -36,6 +42,10 @@ TINY_MODEL = ["--image-size", "16", "--patch-size", "4", "--enc-depth", "2",
               "--dec-width", "16", "--dec-heads", "2"]
 TRAIN = ["--warmup-epochs", "1", "--batch-size", "4", "--base-lr", "2.56e-3"]
 MANIFEST = ["--manifest", "data/manifest.jsonl"]
+DESK_MANIFEST = ["--manifest", "data32/manifest.jsonl"]
+# ends with --batch-size; each command gives its own
+DESK_TRAIN = ["--model-preset", "desk", "--warmup-epochs", "1", "--base-lr", "2.56e-3",
+              "--batch-size"]
 
 # (name, argv): run in order, each in the run directory
 COMMANDS = [
@@ -85,6 +95,22 @@ COMMANDS = [
     ("ablate-replay", ["ablate-loss", *MANIFEST, "--eval-manifest",
                        "data/manifest.jsonl", "--config", "abl/resolved.cfg",
                        "--out", "abl_replay"]),
+    ("synth-desk", ["synth", "--seed", "2", "--count", "12", "--num-subjects", "3",
+                    "--image-size", "32", "--out", "data32"]),
+    ("pretrain-desk", ["pretrain", *DESK_MANIFEST, "--out", "pre_desk", "--seed", "0",
+                       "--epochs", "1", "--random-crop", "true", *DESK_TRAIN, "6"]),
+    ("finetune-desk-detect", ["finetune", "--task", "detect",
+                              "--init", "checkpoint:pre_desk/model.ckpt", *DESK_MANIFEST,
+                              "--eval-manifest", "data32/manifest.jsonl", "--eval-every", "1",
+                              "--out", "ft_desk", "--seed", "0", "--epochs", "2",
+                              "--mixup-alpha", "0.2", "--cutmix-alpha", "0.75",
+                              "--drop-path-rate", "0.1", "--randaug-magnitude", "9",
+                              "--randaug-prob", "0.5", "--label-smoothing", "0.1",
+                              *DESK_TRAIN, "5"]),
+    ("finetune-frozen", ["finetune", "--task", "detect", "--init", "checkpoint:pre/model.ckpt",
+                         *MANIFEST, "--eval-manifest", "data/manifest.jsonl",
+                         "--freeze-encoder", "true", "--out", "ft_frozen", "--seed", "0",
+                         "--epochs", "2", *TINY_MODEL, *TRAIN]),
 ]
 
 

@@ -21,6 +21,9 @@ def drop_path(x, rate, rng, training):
 
     Keeps the branch with probability 1-rate, scaled by 1/(1-rate) so the
     expectation is unchanged; identity when not training or rate is 0.
+    `rng` is a generator, drawn once for one sample's branch, or, for a
+    batch x [K, ...], the K uniform draws that decide its samples (the
+    training loop draws a batch's bits ahead, in one sample's order).
     """
     if rate >= 1.0:
         raise ValueError(f"drop rate {rate} must be < 1")
@@ -28,8 +31,10 @@ def drop_path(x, rate, rng, training):
         raise ValueError(f"drop rate {rate} must be >= 0")
     if not training or rate == 0.0:
         return x
-    keep = rng.random() >= rate
-    return ng.scale(x, 1.0 / (1.0 - rate) if keep else 0.0)
+    if isinstance(rng, np.random.Generator):
+        keep = rng.random() >= rate
+        return ng.scale(x, 1.0 / (1.0 - rate) if keep else 0.0)
+    return ng.scale(x, np.where(np.asarray(rng) >= rate, 1.0 / (1.0 - rate), 0.0))
 
 
 def mixup(images, labels, alpha, rng):

@@ -4,7 +4,8 @@ intensity regression, plus patch-wise target normalization.
 Reduction convention: reconstruction averages over masked elements and the
 per-sample task losses sum over action units; batch averaging happens in the
 training loop. `reduction="sum"` on the reconstruction loss reproduces the
-plain summed form instead.
+plain summed form instead. Each loss is one value per sample: shape [1] for
+one sample, [K] for a batch of K (a leading axis on its inputs).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class LossError(ValueError):
 class PretrainTargets:
     """Ground-truth patch rows for reconstruction, optionally standardized."""
 
-    patches: np.ndarray  # [N, p*p*C]
+    patches: np.ndarray  # [N, p*p*C], or [K, N, p*p*C] for a batch
     normalized: bool = False
     mean: np.ndarray | None = None  # [N, 1] caches for de-normalization
     var: np.ndarray | None = None
@@ -92,10 +93,11 @@ def loss_pretrain(pred, targets, plan, flavor="L1", reduction="mean"):
     if pred.shape != targets.patches.shape:
         raise ng.ShapeError(f"pred {pred.shape} vs targets {targets.patches.shape}")
     pred_m = ng.index_select(pred, masked)
-    tgt_m = Tensor(targets.patches[masked])
+    tgt_m = Tensor(np.take_along_axis(targets.patches, masked[..., None], axis=-2))
     diff = ng.sub(pred_m, tgt_m)
     per_elem = ng.abs(diff) if flavor == "L1" else ng.square(diff)
-    return ng.mean(per_elem) if reduction == "mean" else ng.sum(per_elem)
+    reduce = ng.mean if reduction == "mean" else ng.sum
+    return reduce(per_elem, axis=(-2, -1))
 
 
 def loss_detection(logits, labels):
@@ -104,7 +106,7 @@ def loss_detection(logits, labels):
         raise LossError("detection loss needs occurrence labels")
     if logits.shape != labels.occurrence.shape:
         raise ng.ShapeError(f"logits {logits.shape} vs labels {labels.occurrence.shape}")
-    return ng.sum(ng.bce_with_logits(logits, labels.occurrence))
+    return ng.sum(ng.bce_with_logits(logits, labels.occurrence), axis=-1)
 
 
 def loss_intensity(pred, labels):
@@ -117,7 +119,7 @@ def loss_intensity(pred, labels):
     if pred.shape != labels.intensity.shape:
         raise ng.ShapeError(f"pred {pred.shape} vs labels {labels.intensity.shape}")
     target = labels.intensity / 5.0
-    return ng.sum(ng.square(ng.sub(pred, Tensor(target))))
+    return ng.sum(ng.square(ng.sub(pred, Tensor(target))), axis=-1)
 
 
 def denormalize_intensity(pred01):

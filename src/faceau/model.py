@@ -1,9 +1,12 @@
 """Masked-autoencoder model: patch pipeline, masking, encoder/decoder/head.
 
-One image at a time: patch matrices are [N, p*p*C], the encoder sees the
-visible subset, the decoder fills masked slots with one shared learned token
-and predicts pixels for every patch. The classifier path runs the encoder on
-all tokens, mean-pools, and applies a norm + linear head.
+Patch matrices are [N, p*p*C] for one image or [K, N, p*p*C] for a batch
+of K; the encoder sees the visible subset, the decoder fills masked slots
+with one shared learned token and predicts pixels for every patch. The
+classifier path runs the encoder on all tokens, mean-pools, and applies a
+norm + linear head. A batch gives each sample the bits it would get alone
+(see faceau.ndgrad), so the training loop runs K samples per tape, K
+following from the model's shape (faceau.train.chunk_size).
 
 Weights live in a flat name->Tensor dict so the optimizer and the checkpoint
 format can treat them uniformly. Positional tables are fixed sin-cos and are
@@ -197,29 +200,39 @@ def pos_embed_sincos(n_tokens, dim):
 
 @dataclass(frozen=True)
 class MaskPlan:
-    permutation: np.ndarray  # int64 bijection on [0, N)
+    # int64 bijection on [0, N), or [K, N]: one per sample of a batch
+    permutation: np.ndarray
     num_visible: int
 
     def __post_init__(self):
         perm = np.asarray(self.permutation, dtype=np.int64)
-        n = perm.size
+        if perm.ndim not in (1, 2):
+            raise ValueError(f"permutation must be [N] or [K, N], got shape {perm.shape}")
+        n = perm.shape[-1]
         if not (0 <= self.num_visible <= n):
             raise ValueError(f"num_visible {self.num_visible} outside [0, {n}]")
-        if np.sort(perm).tolist() != list(range(n)):
+        if not (np.sort(perm, axis=-1) == np.arange(n)).all():
             raise ValueError("permutation is not a bijection on [0, N)")
         object.__setattr__(self, "permutation", perm)
 
     @property
     def num_tokens(self):
-        return int(self.permutation.size)
+        return int(self.permutation.shape[-1])
 
     @property
     def visible_idx(self):
-        return self.permutation[: self.num_visible]
+        return self.permutation[..., :self.num_visible]
 
     @property
     def masked_idx(self):
-        return self.permutation[self.num_visible:]
+        return self.permutation[..., self.num_visible:]
+
+
+def stack_plans(plans):
+    """One batch plan from per-sample plans that keep the same count visible."""
+    if len({p.num_visible for p in plans}) != 1:
+        raise ValueError("plans of one batch must keep the same number of tokens visible")
+    return MaskPlan(np.stack([p.permutation for p in plans]), plans[0].num_visible)
 
 
 def num_visible(n_tokens, mask_ratio):
@@ -240,11 +253,13 @@ def sample_mask(n_tokens, mask_ratio, rng):
     if n_tokens < 1:
         raise ValueError("need at least one token")
     visible = num_visible(n_tokens, mask_ratio)
-    perm = np.arange(n_tokens, dtype=np.int64)
-    for i in range(n_tokens - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    # one call draws what rng.integers(0, i + 1) draws for i = n-1 .. 1, in
+    # that order, and leaves the generator in the same state
+    draws = rng.integers(0, np.arange(n_tokens, 1, -1)).tolist()
+    perm = list(range(n_tokens))
+    for i, j in zip(range(n_tokens - 1, 0, -1), draws):
         perm[i], perm[j] = perm[j], perm[i]
-    return MaskPlan(permutation=perm, num_visible=visible)
+    return MaskPlan(permutation=np.array(perm, dtype=np.int64), num_visible=visible)
 
 
 def full_plan(n_tokens):
@@ -387,20 +402,26 @@ def _blocks(x, params, prefix, depth, heads, branch_hook=None):
 def _as_patch_tensor(patches, config):
     if not isinstance(patches, Tensor):
         patches = Tensor(np.asarray(patches, dtype=ng.default_dtype()))
-    if patches.shape != (config.num_patches, config.patch_dim):
-        raise ShapeError(
-            f"expected patches [{config.num_patches}, {config.patch_dim}], got {patches.shape}")
+    if patches.ndim not in (2, 3) or patches.shape[-2:] != (config.num_patches,
+                                                            config.patch_dim):
+        raise ShapeError(f"expected patches [{config.num_patches}, {config.patch_dim}] "
+                         f"or a batch of them, got {patches.shape}")
     return patches
 
 
+def _add_positions(x, table):
+    return ng.add(x, Tensor(np.broadcast_to(table, x.shape)))
+
+
 def encoder_forward(weights, patches, plan, branch_hook=None):
-    """Visible-token encoder: project, add positions, keep visible rows, blocks."""
+    """Visible-token encoder: project, add positions, keep visible rows, blocks.
+    A batch of patches [K, N, P] takes a plan of K permutations."""
     cfg = weights.config
     patches = _as_patch_tensor(patches, cfg)
     if plan.num_tokens != cfg.num_patches:
         raise ShapeError(f"plan covers {plan.num_tokens} tokens, model has {cfg.num_patches}")
     x = _linear(patches, weights.params, "patch_embed")
-    x = ng.add(x, Tensor(weights.enc_pos))
+    x = _add_positions(x, weights.enc_pos)
     if not np.array_equal(plan.visible_idx, np.arange(cfg.num_patches)):
         x = ng.index_select(x, plan.visible_idx)  # the full plan keeps every row in order
     x = _blocks(x, weights.params, "enc", cfg.enc_depth, cfg.enc_heads, branch_hook)
@@ -408,31 +429,36 @@ def encoder_forward(weights, patches, plan, branch_hook=None):
 
 
 def decoder_forward(weights, latent, plan):
-    """Reconstruct all N patch rows from visible latents plus mask tokens."""
+    """Reconstruct all N patch rows from visible latents plus mask tokens
+    (of each sample, for a batch of latents and plans)."""
     cfg = weights.config
     if cfg.task != "pretrain":
         raise ValueError(f"decoder requires task 'pretrain', model is {cfg.task!r}")
-    if latent.shape != (plan.num_visible, cfg.enc_width):
-        raise ShapeError(
-            f"latent shape {latent.shape} != ({plan.num_visible}, {cfg.enc_width})")
+    want = (*plan.permutation.shape[:-1], plan.num_visible, cfg.enc_width)
+    if latent.shape != want:
+        raise ShapeError(f"latent shape {latent.shape} != {want}")
     params = weights.params
     x = _linear(latent, params, "dec.embed")
     x = ng.scatter_rows(x, params["dec.mask_token"], plan.visible_idx, plan.num_tokens)
-    x = ng.add(x, Tensor(weights.dec_pos))
+    x = _add_positions(x, weights.dec_pos)
     x = _blocks(x, params, "dec", cfg.dec_depth, cfg.dec_heads)
     x = _norm(x, params, "dec.norm")
     return _linear(x, params, "dec.head")
 
 
 def classifier_forward(weights, patches, branch_hook=None):
-    """All-token encoder, mean pool, norm, linear head -> [num_aus] logits."""
+    """All-token encoder, mean pool, norm, linear head -> [num_aus] logits,
+    or [K, num_aus] for a batch of patches."""
     cfg = weights.config
     if cfg.task not in ("detect", "intensity"):
         raise ValueError(f"classifier requires a fine-tune task, model is {cfg.task!r}")
     latent = encoder_forward(weights, patches, full_plan(cfg.num_patches), branch_hook)
-    pooled = ng.mean(latent, axis=0)
-    pooled = _norm(pooled, weights.params, "head.norm")
-    return _linear(pooled, weights.params, "head.fc")
+    batch = latent.ndim == 3
+    # a batch's head runs on [K, 1, D], one matrix-vector product per sample,
+    # as a single sample's pooled [D] vector does
+    pooled = ng.mean(latent, axis=-2, keepdims=batch)
+    logits = _linear(_norm(pooled, weights.params, "head.norm"), weights.params, "head.fc")
+    return ng.reshape(logits, (latent.shape[0], cfg.num_aus)) if batch else logits
 
 
 # ---------------------------------------------------------------------------

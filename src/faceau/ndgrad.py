@@ -7,7 +7,7 @@ backwards. Each op is one tape node with a hand-written backward:
 
 - elementwise: `add`, `sub`, `scale` (by a python constant), `gelu`,
   `sigmoid`, `abs`, `square`
-- reductions: `sum`, `mean` (all elements or one axis)
+- reductions: `sum`, `mean` (all elements or some axes); `reshape`
 - fused: `linear` (matmul + bias), multi-head `attention` (q/k/v
   projections through the output projection), `layer_norm`,
   `bce_with_logits`
@@ -15,6 +15,20 @@ backwards. Each op is one tape node with a hand-written backward:
   shared mask token in restore order)
 
 Binary ops take equal shapes; anything else raises ShapeError.
+
+Batches: `linear`, `attention`, `layer_norm`, `index_select` and
+`scatter_rows` read a 3-D input `[K, T, D]` as K samples of T rows, and a
+2-D one (or a vector) as one sample. On a batch they hand each parameter one
+gradient per sample, `[K, *shape]`, and `backward` adds those into the
+parameter's buffer one sample at a time, in sample order. So a tape over K
+samples leaves the same gradient bits as K one-sample tapes run in turn.
+Every product of a batch is numpy's stacked matmul, which calls BLAS once
+per sample with the shapes a lone sample's product has, so its rows keep
+their bits. One [K·T, k] GEMM would be faster, but its rows differ from the
+T-row products for some shapes: OpenBLAS 0.3.31 (Haswell kernels) gives a
+[2·16, 512] @ [512, 64] product other bits than two [16, 512] ones. A
+one-row batch `[K, 1, D]` is K matrix-vector products, as a single vector
+`[D]` is.
 
 Default precision is float32. Gradient checking runs under float64 via
 `precision("float64")`.
@@ -159,31 +173,41 @@ def _result(arr, inputs, backward, name):
 def backward(loss, tape):
     """Populate grads of every requires_grad leaf with d(loss)/d(leaf).
 
-    Repeated calls without zero_grad accumulate.
+    Repeated calls (on new tapes) without zero_grad accumulate. A leaf
+    handed one gradient per sample (by a batched op) adds them in sample
+    order. The pass uses the tape up: each node is dropped once passed, with
+    the activations its backward kept, and a leaf's gradient goes into its
+    buffer once the earliest node that reads it is passed, so neither a
+    chunk's activations nor its per-sample gradients outlive their use.
     """
     if loss.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
     if id(loss) not in tape._out_ids:
         raise ValueError("loss was not produced on this tape")
+    if not tape.nodes:
+        raise ValueError("backward already ran on this tape")
+    whole_after = {}  # node index -> the leaves it is the earliest reader of
+    seen = set()
+    for i, node in enumerate(tape.nodes):
+        for inp in node.inputs:
+            if inp.requires_grad and id(inp) not in tape._out_ids and id(inp) not in seen:
+                seen.add(id(inp))
+                whole_after.setdefault(i, []).append(inp)
     grads = {id(loss): np.ones_like(loss.data)}
-    leaves = {}
-    for node in reversed(tape.nodes):
+    for i in range(len(tape.nodes) - 1, -1, -1):
+        node = tape.nodes.pop()
         g = grads.pop(node.out_id, None)
-        if g is None:
-            continue
-        in_grads = node.backward(g)
-        for inp, ig in zip(node.inputs, in_grads):
-            if ig is None or not inp.requires_grad:
-                continue
-            key = id(inp)
-            if key in grads:
-                grads[key] = grads[key] + ig
-            else:
-                grads[key] = ig
-            if key not in tape._out_ids:
-                leaves[key] = inp
-    for key, leaf in leaves.items():
-        leaf.accumulate_grad(grads[key])
+        if g is not None:
+            for inp, ig in zip(node.inputs, node.backward(g)):
+                if ig is None or not inp.requires_grad:
+                    continue
+                key = id(inp)
+                grads[key] = grads[key] + ig if key in grads else ig
+        for leaf in whole_after.get(i, ()):
+            g = grads.pop(id(leaf), None)
+            if g is not None:
+                for part in (g if g.ndim > leaf.ndim else (g,)):
+                    leaf.accumulate_grad(part)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +232,16 @@ def sub(a, b):
 
 
 def scale(x, c):
-    """Multiply by a python scalar constant."""
+    """Multiply by a python scalar constant, or a batch [K, ...] by one
+    constant per sample (a [K] array)."""
     x = _as_tensor(x)
-    c = float(c)
+    if np.ndim(c):
+        c = np.asarray(c, dtype=x.data.dtype)
+        if c.shape != x.shape[:1]:
+            raise ShapeError(f"scale: {c.shape} factors for a batch of shape {x.shape}")
+        c = c.reshape(-1, *[1] * (x.ndim - 1))
+    else:
+        c = float(c)
     return _result(x.data * c, (x,), lambda g: (g * c,), "scale")
 
 
@@ -269,57 +300,85 @@ def square(x):
 # reductions
 
 
-def _check_axis(x, axis):
-    if axis is not None and not (-x.ndim <= axis < x.ndim):
-        raise ShapeError(f"axis {axis} out of range for rank {x.ndim}")
+def _axes(x, axis):
+    """`axis` (None, an int or a tuple of ints) as a tuple of axes of x."""
+    if axis is None:
+        return tuple(range(x.ndim))
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    for a in axes:
+        if not (-x.ndim <= a < x.ndim):
+            raise ShapeError(f"axis {a} out of range for rank {x.ndim}")
+    return tuple(a % x.ndim for a in axes)
 
 
-def _reduce(x, axis, mean):
+def _reduce(x, axis, keepdims, mean):
     x = _as_tensor(x)
-    _check_axis(x, axis)
-    n = x.size if axis is None else x.shape[axis]
-    arr = np.asarray(x.data.mean(axis=axis) if mean else x.data.sum(axis=axis))
+    axes = _axes(x, axis)
+    n = math.prod(x.shape[a] for a in axes)
+    reduce = x.data.mean if mean else x.data.sum
+    arr = np.asarray(reduce(axis=axis, keepdims=keepdims))
     if arr.ndim == 0:
         arr = arr.reshape(1)
+    kept = tuple(1 if a in axes else size for a, size in enumerate(x.shape))
 
     def back(g):
-        spread = np.broadcast_to(g.reshape(()) if axis is None else np.expand_dims(g, axis),
-                                 x.shape).copy()
+        spread = np.broadcast_to(g.reshape(kept), x.shape).copy()
         return (spread / n if mean else spread,)
 
     return _result(arr, (x,), back, "mean" if mean else "sum")
 
 
-def sum(x, axis=None):  # noqa: A001
-    return _reduce(x, axis, mean=False)
+def sum(x, axis=None, keepdims=False):  # noqa: A001
+    return _reduce(x, axis, keepdims, mean=False)
 
 
-def mean(x, axis=None):
-    return _reduce(x, axis, mean=True)
+def mean(x, axis=None, keepdims=False):
+    return _reduce(x, axis, keepdims, mean=True)
+
+
+def reshape(x, shape):
+    x = _as_tensor(x)
+    return _result(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),), "reshape")
 
 
 # ---------------------------------------------------------------------------
 # structured ops
 
 
+def _rows(a):
+    # a vector is a one-row sample
+    return a.reshape(1, -1) if a.ndim == 1 else a
+
+
+def _column_sums(g):
+    """Sum over a sample's rows: [d] for one sample, [K, d] for a batch."""
+    return _rows(g).sum(axis=-2)
+
+
+def _param_grads(x, g):
+    """(xᵀ g, column sums of g): the weight and bias gradients of x @ w + b,
+    one pair per sample of a batch."""
+    return _rows(x).swapaxes(-1, -2) @ _rows(g), _column_sums(g)
+
+
 def linear(x, w, b):
-    """x @ w + b for x of shape [k] or [n, k], w [k, m], b [m]."""
+    """x @ w + b for x of shape [k], [n, k] or a batch [K, n, k]; w [k, m], b [m]."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.ndim > 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+    if x.ndim > 3 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
     arr = x.data @ w.data + b.data
 
     def back(g):
-        g2 = g.reshape(-1, w.shape[1])
         gx = g @ w.data.T if x.requires_grad else None
-        gw = x.data.reshape(-1, w.shape[0]).T @ g2 if w.requires_grad else None
-        return gx, gw, g2.sum(axis=0) if b.requires_grad else None
+        gw, gb = _param_grads(x.data, g)
+        return gx, gw if w.requires_grad else None, gb if b.requires_grad else None
 
     return _result(arr, (x, w, b), back, "linear")
 
 
 def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
-    """Multi-head self-attention of x [T, D] through its output projection.
+    """Multi-head self-attention of x [T, D] (or a batch [K, T, D]) through
+    its output projection.
 
     One node owns softmax(Q Kᵀ / sqrt(dh)) V and its backward: the q/k/v
     projections run as one [D, 3D] matmul, heads are strided views of its
@@ -328,36 +387,40 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     """
     x = _as_tensor(x)
     params = tuple(_as_tensor(p) for p in (wq, bq, wk, bk, wv, bv, wo, bo))
-    if x.ndim != 2 or heads < 1 or x.shape[1] % heads:
+    if x.ndim not in (2, 3) or heads < 1 or x.shape[-1] % heads:
         raise ShapeError(f"attention: cannot split {x.shape} into {heads} heads")
-    t, d = x.shape
+    *lead, t, d = x.shape
     dh = d // heads
     for p, want in zip(params, [(d, d), (d,)] * 4):
         if p.shape != want:
             raise ShapeError(f"attention: parameter shape {p.shape}, expected {want}")
     wq, bq, wk, bk, wv, bv, wo, bo = (p.data for p in params)
     scale = 1.0 / math.sqrt(dh)
+    # [..., T, 3, H, dh] -> [3, ..., H, T, dh]: q, k and v
+    n = len(lead)
+    split = (n + 1, *range(n), n + 2, n, n + 3)
     qkv = x.data @ np.concatenate([wq, wk, wv], axis=1) + np.concatenate([bq, bk, bv])
-    q, k, v = qkv.reshape(t, 3, heads, dh).transpose(1, 2, 0, 3)  # each [H, T, dh]
-    p = (q @ k.transpose(0, 2, 1)) * scale
+    q, k, v = qkv.reshape(*lead, t, 3, heads, dh).transpose(split)
+    p = (q @ k.swapaxes(-1, -2)) * scale
     p = np.exp(p - p.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
-    ctx = (p @ v).transpose(1, 0, 2).reshape(t, d)
+    ctx = (p @ v).swapaxes(-2, -3).reshape(x.shape)
 
     def back(g):
-        gctx = (g @ wo.T).reshape(t, heads, dh).transpose(1, 0, 2)
-        gp = gctx @ v.transpose(0, 2, 1)
+        gctx = (g @ wo.T).reshape(*lead, t, heads, dh).swapaxes(-2, -3)
+        gp = gctx @ v.swapaxes(-1, -2)
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
         gs *= scale
         gqkv = np.empty_like(qkv)
-        gq, gk, gv = gqkv.reshape(t, 3, heads, dh).transpose(1, 2, 0, 3)
+        gq, gk, gv = gqkv.reshape(*lead, t, 3, heads, dh).transpose(split)
         gq[...] = gs @ k
-        gk[...] = gs.transpose(0, 2, 1) @ q
-        gv[...] = p.transpose(0, 2, 1) @ gctx
-        gw, gb = x.data.T @ gqkv, gqkv.sum(axis=0)
-        gx = gqkv[:, :d] @ wq.T + gqkv[:, d:2 * d] @ wk.T + gqkv[:, 2 * d:] @ wv.T
-        return (gx, gw[:, :d], gb[:d], gw[:, d:2 * d], gb[d:2 * d], gw[:, 2 * d:], gb[2 * d:],
-                ctx.T @ g, g.sum(axis=0))
+        gk[...] = gs.swapaxes(-1, -2) @ q
+        gv[...] = p.swapaxes(-1, -2) @ gctx
+        gw, gb = _param_grads(x.data, gqkv)
+        gx = gqkv[..., :d] @ wq.T + gqkv[..., d:2 * d] @ wk.T + gqkv[..., 2 * d:] @ wv.T
+        gwo, gbo = _param_grads(ctx, g)
+        return (gx, gw[..., :d], gb[..., :d], gw[..., d:2 * d], gb[..., d:2 * d],
+                gw[..., 2 * d:], gb[..., 2 * d:], gwo, gbo)
 
     return _result(ctx @ wo + bo, (x,) + params, back, "attention")
 
@@ -374,42 +437,55 @@ def bce_with_logits(logits, target):
     return _result(arr, (x,), lambda g: (g * (_sigmoid(v) - t),), "bce_with_logits")
 
 
+def _batch_rows(x, rows, name):
+    """(rows, index): rows [M] of one sample x [N, D], or rows [K, M] of a
+    batch x [K, N, D], and the index of x's leading axes they make."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if x.ndim not in (2, 3) or rows.ndim != x.ndim - 1 or rows.shape[:-1] != x.shape[:-2]:
+        raise ShapeError(f"{name}: rows {rows.shape} of a {x.shape} tensor")
+    return rows, (np.arange(len(rows))[:, None], rows) if rows.ndim == 2 else rows
+
+
 def scatter_rows(x, fill, rows, n):
     """[n, D] tensor holding x's rows at the distinct positions `rows` and
-    the vector `fill` in every other row (the decoder's mask tokens)."""
+    the vector `fill` in every other row (the decoder's mask tokens); for a
+    batch x [K, M, D], rows [K, M] gives each sample's positions."""
     x, fill = _as_tensor(x), _as_tensor(fill)
-    rows = np.asarray(rows, dtype=np.int64)
-    if x.ndim != 2 or fill.shape != x.shape[1:] or rows.shape != x.shape[:1]:
+    rows, at = _batch_rows(x, rows, "scatter_rows")
+    if fill.shape != x.shape[-1:] or rows.shape != x.shape[:-1]:
         raise ShapeError(f"scatter_rows: rows {rows.shape} of {x.shape} with fill "
                          f"{fill.shape} into {n} rows")
-    if rows.size and (rows.min() < 0 or rows.max() >= n or np.unique(rows).size < rows.size):
+    if rows.size and (rows.min() < 0 or rows.max() >= n
+                      or (np.diff(np.sort(rows, axis=-1), axis=-1) == 0).any()):
         raise IndexError(f"scatter_rows: row indices must be distinct and in [0, {n})")
-    others = np.ones(n, dtype=bool)
-    others[rows] = False
-    arr = np.empty((n, x.shape[1]), dtype=np.result_type(x.data, fill.data))
-    arr[rows] = x.data
+    others = np.ones((*x.shape[:-2], n), dtype=bool)
+    others[at] = False
+    arr = np.empty((*others.shape, x.shape[-1]), dtype=np.result_type(x.data, fill.data))
+    arr[at] = x.data
     arr[others] = fill.data
 
     def back(g):
-        return g[rows], g[others].sum(axis=0) if others.any() else None
+        if not others.any():
+            return g[at], None
+        # per sample: the rows that hold the token, summed in row order
+        return g[at], g[others].reshape(*x.shape[:-2], -1, x.shape[-1]).sum(axis=-2)
 
     return _result(arr, (x, fill), back, "scatter_rows")
 
 
 def index_select(x, idx):
-    """Gather rows of a [N, D] tensor; backward scatters additively."""
+    """Gather rows of a [N, D] tensor, or rows idx[k] of each sample k of a
+    batch [K, N, D]; backward scatters additively."""
     x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"index_select expects a matrix, got shape {x.shape}")
-    idx = np.asarray(idx, dtype=np.int64)
-    n = x.shape[0]
+    idx, at = _batch_rows(x, idx, "index_select")
+    n = x.shape[-2]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"index_select: indices outside [0, {n})")
-    arr = x.data[idx]
+    arr = x.data[at]
 
     def back(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        np.add.at(gx, at, g)
         return (gx,)
 
     return _result(arr, (x,), back, "index_select")
@@ -421,11 +497,14 @@ def _row_mean(a):
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
-    """Normalize over the last axis, then scale/shift."""
+    """Normalize over the last axis of x [d], [T, d] or a batch [K, T, d],
+    then scale/shift."""
     x = _as_tensor(x)
     gamma = _as_tensor(gamma)
     beta = _as_tensor(beta)
     d = x.shape[-1]
+    if x.ndim > 3:
+        raise ShapeError(f"layer_norm: expected [d], [T, d] or [K, T, d], got {x.shape}")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: gamma/beta must have shape ({d},), got {gamma.shape}/{beta.shape}")
     if eps <= 0:
@@ -436,8 +515,8 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     arr = xhat * gamma.data + beta.data
 
     def back(g):
-        gg = (g * xhat).reshape(-1, d).sum(axis=0) if gamma.requires_grad else None
-        gb = g.reshape(-1, d).sum(axis=0) if beta.requires_grad else None
+        gg = _column_sums(g * xhat) if gamma.requires_grad else None
+        gb = _column_sums(g) if beta.requires_grad else None
         gx = None
         if x.requires_grad:
             dxhat = g * gamma.data

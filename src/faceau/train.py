@@ -1,14 +1,16 @@
 """Run orchestration: seeded random streams, the pre-training and fine-tuning
 loops, resumable run state, and the sparse-frames fine-tuning protocol.
 
-Both loops run on one training driver. Batches are processed one sample at a
-time with gradients accumulated into the parameter buffers and a single
-optimizer step per batch, so the effective batch size (the one the linear
-scaling rule sees) is `batch_size` regardless of memory; the loops differ
-only in how a batch's samples are prepared and in the per-sample loss. Every
-random draw comes from one of a fixed set of named streams derived from the
-run seed, which is what makes runs and resumes bit-exact. Run state is the
-"MAET" format of the checkpoint container in faceau.model.
+Both loops run on one training driver. A batch runs in chunks of K samples,
+one tape per chunk, with a single optimizer step per batch; each sample's
+gradient is added into the parameter buffers in sample order, so results
+equal a run that takes one sample at a time, and the effective batch size
+(the one the linear scaling rule sees) is `batch_size` regardless of memory.
+K follows from the model's shape (`chunk_size`). The loops differ only in
+how a batch's samples are prepared and in the chunk's per-sample losses.
+Every random draw comes from one of a fixed set of named streams derived
+from the run seed, which is what makes runs and resumes bit-exact. Run state
+is the "MAET" format of the checkpoint container in faceau.model.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .model import (ENCODER_PREFIXES, RUN_STATE_MAGIC, TASKS, CheckpointError,
                     ModelConfig, ModelWeights, build_weights, classifier_forward,
                     decoder_forward, encoder_forward, init_weights,
                     load_encoder_only, match_arrays, num_visible, param_shapes,
-                    patchify, read_container, sample_mask, write_container, write_file)
+                    patchify, read_container, sample_mask, stack_plans,
+                    write_container, write_file)
 from .optim import NumericalError, OptimState, adamw_step, init_optim, lr_at
 
 
@@ -251,6 +254,29 @@ def start_run(model_config, config, init_from=None):
                     streams=streams)
 
 
+# activation elements (tokens times MLP hidden width, at a model's largest
+# stage) that one tape's chunk of samples may hold. A tape holds its chunk's
+# activations, so peak memory grows with the chunk: one batch-16 desk
+# pre-training step peaks (tracemalloc) at 9.7 MB one sample at a time, and
+# at 11.9, 20.1 and 32.7 MB in chunks of 4, 8 and 16, against the
+# benchmark's +10% bound on a ~79 MB peak RSS.
+CHUNK_ELEMENTS = 65536
+
+
+def chunk_size(model_config):
+    """Samples per tape, for training and for held-out scoring:
+    max(1, CHUNK_ELEMENTS // largest), `largest` being the token count times
+    the MLP hidden width at the model's largest stage. That is 4 for desk
+    pre-training, 2 for desk fine-tuning and 1 at `full`."""
+    cfg = model_config
+    stages = [(cfg.num_patches, cfg.enc_width)]
+    if cfg.task == "pretrain":
+        stages = [(num_visible(cfg.num_patches, cfg.mask_ratio), cfg.enc_width),
+                  (cfg.num_patches, cfg.dec_width)]
+    largest = max(tokens * int(width * cfg.mlp_ratio) for tokens, width in stages)
+    return max(1, CHUNK_ELEMENTS // largest)
+
+
 # the default run-state writes per run: a run of E epochs checkpoints every
 # checkpoint_period(E) epochs and at its last, so a 20000-epoch sparse-frames
 # run writes 20 states, not 20000
@@ -314,18 +340,31 @@ def load_run_state(path):
 # training loops
 
 
-def _train(run, corpus, until_epoch, checkpoint, prepare, sample_loss, after_epoch=None):
+def _backward_chunk(chunk_loss, chunk, batch_size):
+    """Record a chunk's per-sample losses on one tape and add their gradients
+    at 1/batch_size; returns the losses. The tape, which holds the chunk's
+    activations, is gone once this returns."""
+    with ng.Tape() as tape:
+        losses = chunk_loss(chunk)
+        total = ng.sum(ng.scale(losses, 1.0 / batch_size))
+    ng.backward(total, tape)
+    return losses.data.tolist()
+
+
+def _train(run, corpus, until_epoch, checkpoint, prepare, chunk_loss, after_epoch=None):
     """The epoch/batch driver both stages share. Per batch: `prepare(idx)`
-    turns corpus indices into samples, `sample_loss(sample)` records each
-    sample's loss on its own tape, gradients accumulate at 1/len(batch), and
-    one AdamW step and its TraceRow in run.trace follow. Runs from run.epoch
-    up to until_epoch (default: config.epochs), calls `after_epoch()` after
-    each epoch, then saves the run state to `checkpoint` (a path, or None)
-    every checkpoint_every epochs. Returns the TraceRows of this call."""
+    turns corpus indices into a list of samples; `chunk_loss(samples)`
+    records the per-sample losses [k] of each chunk of chunk_size samples on
+    one tape; their gradients accumulate at 1/len(batch), and one AdamW step
+    and its TraceRow in run.trace follow. Runs from run.epoch up to
+    until_epoch (default: config.epochs), calls `after_epoch()` after each
+    epoch, then saves the run state to `checkpoint` (a path, or None) every
+    checkpoint_every epochs. Returns the TraceRows of this call."""
     config = run.config
     stop = config.epochs if until_epoch is None else min(until_epoch, config.epochs)
     steps_per_epoch = math.ceil(len(corpus) / config.batch_size)
     skip = ENCODER_PREFIXES if config.freeze_encoder else ()
+    k = chunk_size(run.weights.config)
     first = len(run.trace)
     while run.epoch < stop:
         order = run.streams["shuffle"].permutation(len(corpus))
@@ -335,12 +374,9 @@ def _train(run, corpus, until_epoch, checkpoint, prepare, sample_loss, after_epo
             samples = prepare(idx)
             run.weights.zero_grad()
             batch_loss = 0.0
-            for sample in samples:
-                with ng.Tape() as tape:
-                    loss = sample_loss(sample)
-                    share = ng.scale(loss, 1.0 / len(idx))
-                ng.backward(share, tape)
-                batch_loss += loss.item() / len(idx)
+            for c in range(0, len(samples), k):
+                for loss in _backward_chunk(chunk_loss, samples[c:c + k], len(idx)):
+                    batch_loss += loss / len(idx)
             if not math.isfinite(batch_loss):
                 raise NumericalError(f"non-finite loss at step {run.step}")
             adamw_step(run.weights, run.opt, lr, config.weight_decay,
@@ -371,27 +407,29 @@ def pretrain_loop(run, corpus, until_epoch=None, checkpoint=None):
             if config.random_crop:
                 img = random_crop_resize(img, run.streams["augment"],
                                          config.crop_min_scale, 1.0)
-            patches = patchify(img, cfg.patch_size)
-            targets = (patch_normalize(patches) if cfg.norm_pix_target
-                       else raw_targets(patches))
             plan = sample_mask(cfg.num_patches, cfg.mask_ratio, run.streams["mask"])
-            samples.append((patches, targets, plan))
+            samples.append((patchify(img, cfg.patch_size), plan))
         return samples
 
-    def sample_loss(sample):
-        patches, targets, plan = sample
+    def chunk_loss(chunk):
+        patches = np.stack([p for p, _ in chunk])
+        plan = stack_plans([plan for _, plan in chunk])
+        targets = (patch_normalize(patches) if cfg.norm_pix_target
+                   else raw_targets(patches))
         latent = encoder_forward(run.weights, patches, plan)
         pred = decoder_forward(run.weights, latent, plan)
         return loss_pretrain(pred, targets, plan, config.recon_loss, config.reduction)
 
-    return _train(run, corpus, until_epoch, checkpoint, prepare, sample_loss)
+    return _train(run, corpus, until_epoch, checkpoint, prepare, chunk_loss)
 
 
 def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None, checkpoint=None):
     """Supervised stage on all patches (no masking). Detection mixes batches
     with mixup/cutmix; intensity uses neither; checkpoints like pretrain_loop.
-    Returns (trace rows of this call, list of (epoch, MetricsReport) from
-    the held-out split every eval_every epochs)."""
+    A frozen encoder's parameters stop requiring gradients, so its forward
+    records nothing and backward stops at the head. Returns (trace rows of
+    this call, list of (epoch, MetricsReport) from the held-out split every
+    eval_every epochs)."""
     config = run.config
     task = config.task
     if task not in ("detect", "intensity"):
@@ -401,12 +439,12 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None, checkpoint=No
     if config.eval_every > 0 and eval_corpus is None:
         raise TrainError("eval_every > 0 needs a held-out eval corpus")
     use_aug = config.randaug_prob > 0 and config.randaug_magnitude > 0
-    hook = None
+    if config.freeze_encoder:
+        for name, t in run.weights.params.items():
+            if name.startswith(ENCODER_PREFIXES):
+                t.requires_grad = False
     # frozen encoder means a deterministic feature extractor: no drop path
-    if config.drop_path_rate > 0 and not config.freeze_encoder:
-        def hook(t):
-            return drop_path(t, config.drop_path_rate, run.streams["branch"],
-                             training=True)
+    drop = config.drop_path_rate > 0 and not config.freeze_encoder
 
     def prepare(idx):
         imgs = [to_float(corpus.images[i]) for i in idx]
@@ -431,12 +469,21 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None, checkpoint=No
         return [(patchify(np.asarray(img), cfg.patch_size), lab)
                 for img, lab in zip(imgs, labels)]
 
-    def sample_loss(sample):
-        patches, lab = sample
+    def chunk_loss(chunk):
+        patches = np.stack([p for p, _ in chunk])
+        labels = np.stack([lab for _, lab in chunk])
+        hook = None
+        if drop:
+            # the chunk's keep draws in one sample's order: per sample, then
+            # per block, attention branch before MLP branch
+            draws = iter(run.streams["branch"].random((len(chunk), 2 * cfg.enc_depth)).T)
+
+            def hook(t):
+                return drop_path(t, config.drop_path_rate, next(draws), training=True)
         logits = classifier_forward(run.weights, patches, hook)
         if task == "detect":
-            return loss_detection(logits, AULabels(occurrence=lab))
-        return loss_intensity(ng.sigmoid(logits), AULabels(intensity=lab))
+            return loss_detection(logits, AULabels(occurrence=labels))
+        return loss_intensity(ng.sigmoid(logits), AULabels(intensity=labels))
 
     reports = []
 
@@ -444,7 +491,7 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None, checkpoint=No
         if config.eval_every > 0 and run.epoch % config.eval_every == 0:
             reports.append((run.epoch, evaluate(run.weights, eval_corpus)))
 
-    rows = _train(run, corpus, until_epoch, checkpoint, prepare, sample_loss, after_epoch)
+    rows = _train(run, corpus, until_epoch, checkpoint, prepare, chunk_loss, after_epoch)
     return rows, reports
 
 
@@ -456,11 +503,13 @@ def evaluate(weights, corpus, threshold=0.5):
         raise TrainError(f"evaluate needs a fine-tune model, got {cfg.task!r}")
     gts = label_matrix(corpus.manifest, cfg)
     au_names = corpus.manifest.au_names
+    k = chunk_size(cfg)
     scores = []
-    for img in corpus.images:
-        logits = classifier_forward(weights, patchify(to_float(img), cfg.patch_size))
-        scores.append(ng.sigmoid(logits).data)
-    scores = np.stack(scores)
+    for c in range(0, len(corpus.images), k):
+        patches = np.stack([patchify(to_float(img), cfg.patch_size)
+                            for img in corpus.images[c:c + k]])
+        scores.append(ng.sigmoid(classifier_forward(weights, patches)).data)
+    scores = np.concatenate(scores)
     if cfg.task == "detect":
         return f1_scores((scores >= threshold).astype(np.int64), gts, au_names=au_names)
     return intensity_report(denormalize_intensity(scores), gts, au_names=au_names)

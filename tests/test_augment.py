@@ -87,6 +87,20 @@ def test_drop_path_gradient_scales_with_keep():
     assert np.allclose(x.grad, 2.0)
 
 
+def test_drop_path_batch_takes_drawn_bits_per_sample():
+    # a batch's K uniform draws decide its samples as K one-sample calls
+    # drawing from the generator in turn would
+    x = Tensor(np.arange(1.0, 25.0).reshape(6, 2, 2))
+    draws = np.random.default_rng(7).random(6)
+    out = drop_path(x, 0.4, draws, training=True)
+    rng = np.random.default_rng(7)
+    for k in range(6):
+        one = drop_path(Tensor(x.data[k]), 0.4, rng, training=True)
+        assert one.data.tobytes() == out.data[k].tobytes()
+    kept = out.data[:, 0, 0] != 0
+    assert kept.any() and not kept.all()
+
+
 # -------------------------------------------------------------------- mixup
 
 def test_mixup_identity_for_singleton_batch():

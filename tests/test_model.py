@@ -143,6 +143,55 @@ def test_sample_mask_is_deterministic_per_seed():
     assert np.array_equal(a, b)
 
 
+def _loop_sample_mask(n_tokens, rng):
+    # the one-draw-per-swap Fisher-Yates loop that sample_mask replaced
+    perm = np.arange(n_tokens, dtype=np.int64)
+    for i in range(n_tokens - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [16, 64, 196])
+def test_sample_mask_equals_the_loop_draw_for_draw(n):
+    for seed in range(20):
+        ours, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # the stream state carries from plan to plan
+            assert np.array_equal(sample_mask(n, 0.75, ours).permutation,
+                                  _loop_sample_mask(n, loop))
+        assert ours.bit_generator.state == loop.bit_generator.state
+
+
+def test_mask_plan_holds_a_batch():
+    plans = [sample_mask(16, 0.75, np.random.default_rng(s)) for s in range(3)]
+    batch = mdl.stack_plans(plans)
+    assert batch.num_tokens == 16 and batch.num_visible == 4
+    assert np.array_equal(batch.visible_idx[1], plans[1].visible_idx)
+    assert np.array_equal(batch.masked_idx[2], plans[2].masked_idx)
+    with pytest.raises(ValueError):
+        MaskPlan(permutation=np.array([[0, 1, 2], [0, 2, 2]]), num_visible=1)
+    with pytest.raises(ValueError):
+        mdl.stack_plans([plans[0], sample_mask(16, 0.5, np.random.default_rng(0))])
+
+
+def test_batched_forwards_equal_one_image_forwards_bit_for_bit():
+    rng = np.random.default_rng(4)
+    images = rng.random((3, 1, 8, 8)).astype(np.float32)
+    patches = np.stack([patchify(im, 4) for im in images])
+    w = init_weights(tiny_config(), rng)
+    plans = [sample_mask(4, 0.5, rng) for _ in images]
+    batch = mdl.stack_plans(plans)
+    pred = decoder_forward(w, encoder_forward(w, patches, batch), batch).data
+    for k in range(3):
+        one = decoder_forward(w, encoder_forward(w, patches[k], plans[k]), plans[k]).data
+        assert one.tobytes() == pred[k].tobytes()
+    wd = init_weights(tiny_config(task="detect"), rng)
+    logits = classifier_forward(wd, patches).data
+    assert logits.shape == (3, 3)
+    for k in range(3):
+        assert classifier_forward(wd, patches[k]).data.tobytes() == logits[k].tobytes()
+
+
 def test_sample_mask_uniformity_monte_carlo():
     # each index should be masked ~75% of the time
     n, draws = 16, 10000

@@ -176,6 +176,17 @@ def test_backward_requires_scalar_and_on_tape_loss():
         backward(z, tape)  # z lives on `other`, not `tape`
 
 
+def test_backward_uses_the_tape_up():
+    # each node, and what it kept for its backward, goes once passed
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        loss = ng.sum(ng.square(x))
+    backward(loss, tape)
+    assert tape.nodes == [] and np.array_equal(x.grad, [2.0, 2.0, 2.0])
+    with pytest.raises(ValueError):
+        backward(loss, tape)
+
+
 def test_no_tape_forward_is_untracked():
     x = Tensor(np.ones(3), requires_grad=True)
     y = ng.sum(ng.square(x))  # outside any tape
@@ -359,10 +370,95 @@ def test_scatter_rows_rejects_bad_rows():
 
 
 # ---------------------------------------------------------------------------
+# batches: a leading sample axis
+
+
+K, T, D = 3, 4, 6
+
+
+def _batched_case(op, rng):
+    """(fn, inputs, rows): fn(rows, x, *params) runs one op on a batch x
+    [K, T, D] (rows[k] are sample k's rows) or on one sample."""
+    x = Tensor(rng.standard_normal((K, T, D)))
+    rows = np.stack([rng.permutation(T)[:2] for _ in range(K)])
+    if op == "linear":
+        params = [Tensor(rng.standard_normal((D, 5))), Tensor(rng.standard_normal(5))]
+        return (lambda r, x, w, b: ng.linear(x, w, b)), [x] + params, rows
+    if op == "attention":
+        _, params = _attention_inputs(rng, T, D)
+        return (lambda r, x, *p: ng.attention(x, *p, 2)), [x] + params, rows
+    if op == "layer_norm":
+        params = [Tensor(1.0 + 0.1 * rng.standard_normal(D)), Tensor(0.1 * rng.standard_normal(D))]
+        return (lambda r, x, g, b: ng.layer_norm(x, g, b)), [x] + params, rows
+    if op == "gelu":
+        return (lambda r, x: ng.gelu(x)), [x], rows
+    if op == "index_select":
+        return (lambda r, x: ng.index_select(x, r)), [x], rows
+    # each sample's T rows land at distinct places among T + 2
+    rows = np.stack([rng.permutation(T + 2)[:T] for _ in range(K)])
+    token = Tensor(rng.standard_normal(D))
+    return (lambda r, x, token: ng.scatter_rows(x, token, r, T + 2)), [x, token], rows
+
+
+BATCHED = ("linear", "attention", "layer_norm", "gelu", "index_select", "scatter_rows")
+
+
+@pytest.mark.parametrize("op", BATCHED)
+def test_grad_check_batched(op):
+    rng = np.random.default_rng(81)
+    with ng.precision("float64"):
+        fn, inputs, rows = _batched_case(op, rng)
+        report = grad_check(lambda *xs: ng.sum(ng.square(fn(rows, *xs))), inputs, tol=1e-4)
+    assert report.passed, f"max rel error {report.max_rel_error}"
+
+
+@pytest.mark.parametrize("op", BATCHED)
+def test_batched_op_equals_one_sample_calls_bit_for_bit(op):
+    # float32 tapes over two chunks of K samples, each sample's loss scaled by
+    # 1/2K, against 2K one-sample tapes run in turn: same outputs, losses and
+    # gradients. The second chunk shows that parameter gradients are added one
+    # sample at a time: summing a chunk's K gradients first would differ.
+    rng = np.random.default_rng(91)
+    chunks = [_batched_case(op, rng) for _ in range(2)]
+    params = chunks[0][1][1:]
+    for t in params:
+        t.requires_grad = True
+
+    def scaled(rows, x):
+        out = chunks[0][0](rows, x, *params)
+        loss = ng.sum(ng.square(out), axis=(-2, -1))
+        return out, loss, ng.sum(ng.scale(loss, 1.0 / (2 * K)))
+
+    outs, losses, x_grads = [], [], []
+    for _, (x, *_), rows in chunks:
+        x.requires_grad = True
+        with Tape() as tape:
+            out, loss, share = scaled(rows, x)
+        backward(share, tape)
+        outs.append(out.data)
+        losses += loss.data.tolist()
+        x_grads.append(x.grad)
+    batched = [t.grad for t in params]
+    for t in params:
+        t.zero_grad()
+    for n, (_, (x, *_), rows) in enumerate(chunks):
+        for k in range(K):
+            xk = Tensor(x.data[k], requires_grad=True)
+            with Tape() as tape:
+                out, loss, share = scaled(rows[k], xk)
+            backward(share, tape)
+            assert loss.item() == losses[n * K + k]
+            assert out.data.tobytes() == outs[n][k].tobytes()
+            assert xk.grad.tobytes() == x_grads[n][k].tobytes()
+    for got, t in zip(batched, params):
+        assert got.tobytes() == t.grad.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # op set
 
 OPS = {"add", "sub", "scale", "gelu", "sigmoid", "abs", "square", "sum", "mean",
-       "linear", "attention", "bce_with_logits", "scatter_rows", "index_select",
+       "reshape", "linear", "attention", "bce_with_logits", "scatter_rows", "index_select",
        "layer_norm"}
 ENGINE = {"default_dtype", "precision", "tensor", "backward", "grad_check"}
 

@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 import faceau.model
+import faceau.ndgrad as ng
 import faceau.train
+from faceau.augment import drop_path
 from faceau.data import Manifest, SampleRecord
-from faceau.model import (ENCODER_PREFIXES, CheckpointError, init_weights,
+from faceau.losses import (AULabels, loss_detection, loss_intensity, loss_pretrain,
+                           patch_normalize)
+from faceau.model import (ENCODER_PREFIXES, CheckpointError, classifier_forward,
+                          decoder_forward, encoder_forward, init_weights,
                           load_weights, preset, save_weights)
 from faceau.optim import lr_at
 from faceau.synth import synth_corpus
@@ -244,7 +249,7 @@ def test_label_smoothing_pulls_bits_to_eps_halves(monkeypatch):
     run = start_run(tiny_model("detect"), config)
     finetune_loop(run, tiny_corpus())
     targets = np.concatenate(seen)
-    assert len(seen) == 6
+    assert len(targets) == 6  # each sample's labels once, in chunks
     low, high = np.isclose(targets, 0.1), np.isclose(targets, 0.9)
     assert (low | high).all() and low.any() and high.any()
 
@@ -331,6 +336,109 @@ def test_frozen_encoder_bytes_unchanged():
 def test_freeze_flag_rejected_for_pretrain():
     with pytest.raises(TrainError):
         tiny_config("pretrain", freeze_encoder=True)
+
+
+def test_frozen_encoder_gets_no_gradients(monkeypatch):
+    seen = []
+
+    def capture(weights, *args, _step=faceau.train.adamw_step, **kwargs):
+        seen.append({name: t.grad for name, t in weights.params.items()})
+        return _step(weights, *args, **kwargs)
+
+    monkeypatch.setattr(faceau.train, "adamw_step", capture)
+    run = start_run(tiny_model("detect"), tiny_config("detect", freeze_encoder=True))
+    finetune_loop(run, tiny_corpus())
+    assert seen
+    for grads in seen:
+        assert all((g is None) == name.startswith(ENCODER_PREFIXES)
+                   for name, g in grads.items())
+
+
+# ---------------------------------------------- chunks against one-sample tapes
+
+
+def _one_sample_loss(run, sample):
+    """One sample's loss through the one-image model API, drop path drawing
+    from the branch stream per block as the forward reaches it."""
+    config = run.config
+    if config.task == "pretrain":
+        patches, plan = sample
+        latent = encoder_forward(run.weights, patches, plan)
+        return loss_pretrain(decoder_forward(run.weights, latent, plan),
+                             patch_normalize(patches), plan, config.recon_loss,
+                             config.reduction)
+    patches, labels = sample
+
+    def hook(t):
+        return drop_path(t, config.drop_path_rate, run.streams["branch"], training=True)
+
+    logits = classifier_forward(run.weights, patches, hook)
+    if config.task == "detect":
+        return loss_detection(logits, AULabels(occurrence=labels))
+    return loss_intensity(ng.sigmoid(logits), AULabels(intensity=labels))
+
+
+def _one_sample_driver(losses):
+    """The training driver's body before chunks, for one batch: a tape per
+    sample, its backward, gradients accumulated at 1/len(batch)."""
+    def driver(run, corpus, until_epoch, checkpoint, prepare, chunk_loss, after_epoch=None):
+        idx = run.streams["shuffle"].permutation(len(corpus))
+        samples = prepare(idx)
+        run.weights.zero_grad()
+        for sample in samples:
+            with ng.Tape() as tape:
+                loss = _one_sample_loss(run, sample)
+                share = ng.scale(loss, 1.0 / len(idx))
+            ng.backward(share, tape)
+            losses.append(loss.item())
+        faceau.train.adamw_step(run.weights, run.opt, 0.0, 0.0)
+        return []
+    return driver
+
+
+def _chunked_driver(losses, _train=faceau.train._train):
+    def driver(run, corpus, until_epoch, checkpoint, prepare, chunk_loss, after_epoch=None):
+        def recorded(chunk):
+            out = chunk_loss(chunk)
+            losses.extend(out.data.tolist())
+            return out
+        return _train(run, corpus, until_epoch, checkpoint, prepare, recorded, after_epoch)
+    return driver
+
+
+AUGMENT = dict(drop_path_rate=0.1, randaug_magnitude=9, randaug_prob=0.5)
+
+
+@pytest.mark.parametrize("task,batch,recipe", [
+    ("pretrain", 6, dict(random_crop=True)),  # chunks of 4 and 2
+    ("detect", 5, dict(mixup_alpha=0.2, cutmix_alpha=0.75, label_smoothing=0.1,
+                       **AUGMENT)),  # chunks of 2, 2 and 1
+    ("intensity", 3, AUGMENT),  # chunks of 2 and 1
+])
+def test_chunks_equal_one_sample_tapes_bit_for_bit(monkeypatch, task, batch, recipe):
+    # one desk step: every per-sample loss and every gradient the optimizer
+    # sees, against the one-tape-per-sample driver kept above
+    corpus = synth_corpus(seed=3, count=batch, image_size=32, num_subjects=2)
+    model = preset("desk", task=task)
+    assert batch % faceau.train.chunk_size(model) != 0
+    results = []
+    for make_driver in (_one_sample_driver, _chunked_driver):
+        losses, grads = [], {}
+
+        def capture(weights, *args, _step=faceau.train.adamw_step, **kwargs):
+            grads.update({name: t.grad for name, t in weights.params.items()})
+            return _step(weights, *args, **kwargs)
+
+        monkeypatch.setattr(faceau.train, "adamw_step", capture)
+        monkeypatch.setattr(faceau.train, "_train", make_driver(losses))
+        run = start_run(model, tiny_config(task, epochs=1, batch_size=batch, **recipe))
+        loop = pretrain_loop if task == "pretrain" else finetune_loop
+        loop(run, corpus)
+        monkeypatch.undo()
+        results.append((losses, {name: g.tobytes() for name, g in grads.items()}))
+    (ref_losses, ref_grads), (losses, grads) = results
+    assert len(losses) == batch and losses == ref_losses
+    assert grads == ref_grads
 
 
 # ----------------------------------------------------------------- evaluate
