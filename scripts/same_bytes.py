@@ -125,14 +125,14 @@ def checkout_env(checkout):
     return env
 
 
-def run_chain(checkout, run_dir):
-    """Run COMMANDS from `checkout` in a fresh `run_dir`; returns
+def run_chain(checkout, run_dir, commands=COMMANDS):
+    """Run `commands` from `checkout` in a fresh `run_dir`; returns
     ({command: (exit code, stdout)}, {relative path: sha256})."""
     env = checkout_env(checkout)
     shutil.rmtree(run_dir, ignore_errors=True)
     os.makedirs(run_dir)
     results = {}
-    for name, argv in COMMANDS:
+    for name, argv in commands:
         proc = subprocess.run([sys.executable, "-m", "faceau.cli", *argv], cwd=run_dir,
                               env=env, capture_output=True, text=True)
         results[name] = (proc.returncode, proc.stdout)

@@ -32,6 +32,14 @@ one-row batch `[K, 1, D]` is K matrix-vector products, as a single vector
 
 Default precision is float32. Gradient checking runs under float64 via
 `precision("float64")`.
+
+`gelu` is the erf form, with an `erf` of its own in numpy: Abramowitz &
+Stegun 7.1.26 (`_erf`), in the input's dtype. The formula's error is at most
+1.5e-7; against `math.erf` on a dense grid over [-10, 10] it is 1.4e-7 in
+float64 and 5.4e-7 in float32 (float32 rounding), and GELU's is 2.1e-7 in
+float64. It is not bit-equal to libm's or scipy's `erf`, so training outputs
+differ in bytes from versions that used scipy's; the same seed still gives
+the same bytes.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf as _erf
 
 
 class ShapeError(ValueError):
@@ -262,9 +269,28 @@ def _unary(x, fwd, dfn, name):
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Abramowitz & Stegun 7.1.26: erf(z) = 1 - t·P(t)·exp(-z²) for z >= 0, with
+# t = 1 / (1 + p·z) and P(t) = a1 + a2·t + ... + a5·t⁴; |error| <= 1.5e-7.
+# _AS_A runs from a5 down to a1, for Horner's rule.
+_AS_P = 0.3275911
+_AS_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
+
+
+def _erf(z):
+    """erf by A&S 7.1.26, odd by copysign, in z's dtype (python constants
+    are weak scalars, so float32 stays float32). ±inf give ±1, NaN gives NaN."""
+    a = np.abs(z)
+    t = 1.0 / (1.0 + _AS_P * a)
+    poly = _AS_A[0]
+    for coef in _AS_A[1:]:
+        poly = poly * t + coef
+    return np.copysign(1.0 - poly * t * np.exp(-a * a), z)
+
 
 def gelu(x):
-    """Exact (erf-form) GELU; backward reuses the forward's normal cdf."""
+    """GELU in the erf form, x·Φ(x), with the A&S `_erf`: within 2.5e-7 of
+    the exact value in float64 and 5e-7·max(1, |value|) in float32, on
+    [-10, 10]. Backward g·(Φ(x) + x·φ(x)) reuses the forward's Φ."""
     x = _as_tensor(x)
     v = x.data
     cdf = 0.5 * (1.0 + _erf(v * _INV_SQRT2))

@@ -398,6 +398,22 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter that imports
+    # the command line (and with it every module of the package) has no
+    # scipy module loaded
+    src = str(Path(faceau.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = ("import sys, faceau.cli\n"
+             "print(faceau.cli.__file__)\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    where, loaded = proc.stdout.splitlines()
+    assert Path(where).resolve().parent == Path(src) / "faceau"
+    assert loaded == "[]"
+
+
 def _pretrain_21(corpus_dir, out, *flags):
     return run(["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl"),
                 "--out", str(out), "--seed", "0", "--epochs", "21"]

@@ -30,11 +30,30 @@ def test_sigmoid_forward_matches_scalar_formula():
 
 
 def test_gelu_forward_matches_scalar_formula():
-    xs = np.array([-3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0])
+    # the bounds gelu's docstring states, against math.erf on a dense grid
+    xs = np.linspace(-10.0, 10.0, 200_001)
     with ng.precision("float64"):
         got = ng.gelu(Tensor(xs)).data
+    assert got.dtype == np.float64
     want = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in xs])
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.abs(got - want).max() <= 2.5e-7
+    xs32 = xs.astype(np.float32)
+    got32 = ng.gelu(Tensor(xs32)).data
+    assert got32.dtype == np.float32
+    want32 = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0)))
+                       for v in xs32.astype(np.float64)])
+    assert (np.abs(got32 - want32) <= 5e-7 * np.maximum(1.0, np.abs(want32))).all()
+    # odd symmetry of erf: gelu(x) - gelu(-x) = x
+    assert np.allclose(got - got[::-1], xs, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_gelu_non_finite_inputs(dtype):
+    # +inf passes through, -inf gives inf·0 and NaN stays NaN, as x·Φ(x) does
+    with ng.precision(dtype), np.errstate(invalid="ignore"):
+        got = ng.gelu(Tensor(np.array([np.inf, -np.inf, np.nan]))).data
+    assert got[0] == np.inf
+    assert np.isnan(got[1:]).all()
 
 
 def test_index_select_matches_loop_gather_and_scatter():
