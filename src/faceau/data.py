@@ -118,16 +118,16 @@ class SampleRecord:
     def validate(self, num_aus, line=None):
         where = f"line {line}: " if line is not None else ""
         if self.occurrence is not None:
-            if self.occurrence.size != num_aus:
-                raise ManifestError(
-                    f"{where}occurrence has {self.occurrence.size} values, expected {num_aus}")
+            if self.occurrence.shape != (num_aus,):
+                raise ManifestError(f"{where}occurrence must be a list of {num_aus} values, "
+                                    f"got shape {self.occurrence.shape}")
             occ = self.occurrence
             if not ((occ == 0) | (occ == 1)).all():
                 raise ManifestError(f"{where}occurrence bits must be 0 or 1")
         if self.intensity is not None:
-            if self.intensity.size != num_aus:
-                raise ManifestError(
-                    f"{where}intensity has {self.intensity.size} values, expected {num_aus}")
+            if self.intensity.shape != (num_aus,):
+                raise ManifestError(f"{where}intensity must be a list of {num_aus} values, "
+                                    f"got shape {self.intensity.shape}")
             if ((self.intensity < 0) | (self.intensity > 5)).any():
                 raise ManifestError(f"{where}intensity levels must lie in 0..5")
         if self.landmarks is not None:
@@ -235,8 +235,11 @@ def write_manifest(manifest, path):
 
 
 def read_manifest(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise ManifestError(f"{path}: not UTF-8 text ({e})") from e
     if not lines:
         raise ManifestError("line 1: empty file, expected a header object")
     try:

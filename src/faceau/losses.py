@@ -36,12 +36,16 @@ def raw_targets(patches):
     return PretrainTargets(patches=np.asarray(patches, dtype=np.float64))
 
 
-def patch_normalize(patches, eps=1e-6):
+# guards a flat patch's zero variance; patch_normalize and its inverse share it
+_PATCH_EPS = 1e-6
+
+
+def patch_normalize(patches):
     """Standardize each patch row to mean 0 / variance 1 (eps-guarded)."""
     patches = np.asarray(patches, dtype=np.float64)
     mean = patches.mean(axis=-1, keepdims=True)
     var = patches.var(axis=-1, keepdims=True)
-    normed = (patches - mean) / np.sqrt(var + eps)
+    normed = (patches - mean) / np.sqrt(var + _PATCH_EPS)
     return PretrainTargets(patches=normed, normalized=True, mean=mean, var=var)
 
 
@@ -50,7 +54,7 @@ def denormalize_patches(pred, targets):
     pred = np.asarray(pred, dtype=np.float64)
     if not targets.normalized:
         return pred
-    return pred * np.sqrt(targets.var + 1e-6) + targets.mean
+    return pred * np.sqrt(targets.var + _PATCH_EPS) + targets.mean
 
 
 @dataclass

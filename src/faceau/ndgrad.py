@@ -14,6 +14,7 @@ backwards. Each op is one tape node with a hand-written backward:
 - rows: `index_select` (gather) and `scatter_rows` (visible rows plus the
   shared mask token in restore order)
 
+Ops take Tensors (an array enters through `Tensor`, in the default dtype).
 Binary ops take equal shapes; anything else raises ShapeError.
 
 Batches: `linear`, `attention`, `layer_norm`, `index_select` and
@@ -86,11 +87,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.array(data, dtype=dtype or _default_dtype)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        self.data = arr
+    def __init__(self, data, requires_grad=False):
+        self.data = np.array(data, dtype=_default_dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -126,12 +124,6 @@ class Tensor:
 
 def tensor(data, requires_grad=False):
     return Tensor(data, requires_grad=requires_grad)
-
-
-def _as_tensor(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=_default_dtype))
 
 
 @dataclass
@@ -222,26 +214,23 @@ def backward(loss, tape):
 
 
 def _same_shape(a, b, name):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"{name}: operand shapes {a.shape} and {b.shape} differ")
-    return a, b
 
 
 def add(a, b):
-    a, b = _same_shape(a, b, "add")
+    _same_shape(a, b, "add")
     return _result(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def sub(a, b):
-    a, b = _same_shape(a, b, "sub")
+    _same_shape(a, b, "sub")
     return _result(a.data - b.data, (a, b), lambda g: (g, -g if b.requires_grad else None), "sub")
 
 
 def scale(x, c):
     """Multiply by a python scalar constant, or a batch [K, ...] by one
     constant per sample (a [K] array)."""
-    x = _as_tensor(x)
     if np.ndim(c):
         c = np.asarray(c, dtype=x.data.dtype)
         if c.shape != x.shape[:1]:
@@ -257,7 +246,6 @@ def scale(x, c):
 
 
 def _unary(x, fwd, dfn, name):
-    x = _as_tensor(x)
     arr = fwd(x.data)
 
     def back(g, _x=x.data, _y=arr):
@@ -291,7 +279,6 @@ def gelu(x):
     """GELU in the erf form, x·Φ(x), with the A&S `_erf`: within 2.5e-7 of
     the exact value in float64 and 5e-7·max(1, |value|) in float32, on
     [-10, 10]. Backward g·(Φ(x) + x·φ(x)) reuses the forward's Φ."""
-    x = _as_tensor(x)
     v = x.data
     cdf = 0.5 * (1.0 + _erf(v * _INV_SQRT2))
 
@@ -338,7 +325,6 @@ def _axes(x, axis):
 
 
 def _reduce(x, axis, keepdims, mean):
-    x = _as_tensor(x)
     axes = _axes(x, axis)
     n = math.prod(x.shape[a] for a in axes)
     reduce = x.data.mean if mean else x.data.sum
@@ -363,7 +349,6 @@ def mean(x, axis=None, keepdims=False):
 
 
 def reshape(x, shape):
-    x = _as_tensor(x)
     return _result(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),), "reshape")
 
 
@@ -389,7 +374,6 @@ def _param_grads(x, g):
 
 def linear(x, w, b):
     """x @ w + b for x of shape [k], [n, k] or a batch [K, n, k]; w [k, m], b [m]."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim > 3 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
     arr = x.data @ w.data + b.data
@@ -411,8 +395,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     result (no transposed copies), and backward keeps only q/k/v, the
     probabilities and the context.
     """
-    x = _as_tensor(x)
-    params = tuple(_as_tensor(p) for p in (wq, bq, wk, bk, wv, bv, wo, bo))
+    params = (wq, bq, wk, bk, wv, bv, wo, bo)
     if x.ndim not in (2, 3) or heads < 1 or x.shape[-1] % heads:
         raise ShapeError(f"attention: cannot split {x.shape} into {heads} heads")
     *lead, t, d = x.shape
@@ -454,13 +437,12 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
 def bce_with_logits(logits, target):
     """Elementwise sigmoid cross-entropy of logits against constant targets,
     max(x, 0) - x*t + log(1 + exp(-|x|)): finite for any logit magnitude."""
-    x = _as_tensor(logits)
-    v = x.data
+    v = logits.data
     t = np.asarray(target, dtype=v.dtype)
-    if t.shape != x.shape:
-        raise ShapeError(f"bce_with_logits: logits {x.shape} vs targets {t.shape}")
+    if t.shape != logits.shape:
+        raise ShapeError(f"bce_with_logits: logits {logits.shape} vs targets {t.shape}")
     arr = np.maximum(v, 0.0) - v * t + np.log1p(np.exp(-np.abs(v)))
-    return _result(arr, (x,), lambda g: (g * (_sigmoid(v) - t),), "bce_with_logits")
+    return _result(arr, (logits,), lambda g: (g * (_sigmoid(v) - t),), "bce_with_logits")
 
 
 def _batch_rows(x, rows, name):
@@ -476,7 +458,6 @@ def scatter_rows(x, fill, rows, n):
     """[n, D] tensor holding x's rows at the distinct positions `rows` and
     the vector `fill` in every other row (the decoder's mask tokens); for a
     batch x [K, M, D], rows [K, M] gives each sample's positions."""
-    x, fill = _as_tensor(x), _as_tensor(fill)
     rows, at = _batch_rows(x, rows, "scatter_rows")
     if fill.shape != x.shape[-1:] or rows.shape != x.shape[:-1]:
         raise ShapeError(f"scatter_rows: rows {rows.shape} of {x.shape} with fill "
@@ -491,8 +472,6 @@ def scatter_rows(x, fill, rows, n):
     arr[others] = fill.data
 
     def back(g):
-        if not others.any():
-            return g[at], None
         # per sample: the rows that hold the token, summed in row order
         return g[at], g[others].reshape(*x.shape[:-2], -1, x.shape[-1]).sum(axis=-2)
 
@@ -502,7 +481,6 @@ def scatter_rows(x, fill, rows, n):
 def index_select(x, idx):
     """Gather rows of a [N, D] tensor, or rows idx[k] of each sample k of a
     batch [K, N, D]; backward scatters additively."""
-    x = _as_tensor(x)
     idx, at = _batch_rows(x, idx, "index_select")
     n = x.shape[-2]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
@@ -522,21 +500,19 @@ def _row_mean(a):
     return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
-def layer_norm(x, gamma, beta, eps=1e-6):
+_LN_EPS = 1e-6
+
+
+def layer_norm(x, gamma, beta):
     """Normalize over the last axis of x [d], [T, d] or a batch [K, T, d],
     then scale/shift."""
-    x = _as_tensor(x)
-    gamma = _as_tensor(gamma)
-    beta = _as_tensor(beta)
     d = x.shape[-1]
     if x.ndim > 3:
         raise ShapeError(f"layer_norm: expected [d], [T, d] or [K, T, d], got {x.shape}")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: gamma/beta must have shape ({d},), got {gamma.shape}/{beta.shape}")
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
     xc = x.data - _row_mean(x.data)
-    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + eps)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + _LN_EPS)
     xhat = xc * inv
     arr = xhat * gamma.data + beta.data
 

@@ -62,26 +62,21 @@ def init_optim(weights):
     return state
 
 
-def adamw_step(weights, state, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8,
-               skip=()):
+def adamw_step(weights, state, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
     """One bias-corrected Adam step with decoupled weight decay, in place.
 
-    Missing gradients count as zero (pure decay still applies). Parameters
-    whose name starts with a prefix in `skip` are left untouched entirely
-    (frozen: no moments, no decay).
+    A parameter without a gradient (a frozen one: it does not require one)
+    is left untouched: no moments, no decay.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    skip = tuple(skip)
     for name, p in weights.param_items():
-        if skip and name.startswith(skip):
-            continue
         g = p.grad
         if g is None:
-            g = np.zeros_like(p.data)
-        elif not np.isfinite(g).all():
+            continue
+        if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient in {name!r} at optimizer step {t}")
         m = state.m[name]
         v = state.v[name]

@@ -363,7 +363,6 @@ def _train(run, corpus, until_epoch, checkpoint, prepare, chunk_loss, after_epoc
     config = run.config
     stop = config.epochs if until_epoch is None else min(until_epoch, config.epochs)
     steps_per_epoch = math.ceil(len(corpus) / config.batch_size)
-    skip = ENCODER_PREFIXES if config.freeze_encoder else ()
     k = chunk_size(run.weights.config)
     first = len(run.trace)
     while run.epoch < stop:
@@ -379,8 +378,7 @@ def _train(run, corpus, until_epoch, checkpoint, prepare, chunk_loss, after_epoc
                     batch_loss += loss / len(idx)
             if not math.isfinite(batch_loss):
                 raise NumericalError(f"non-finite loss at step {run.step}")
-            adamw_step(run.weights, run.opt, lr, config.weight_decay,
-                       beta2=config.beta2, skip=skip)
+            adamw_step(run.weights, run.opt, lr, config.weight_decay, beta2=config.beta2)
             run.trace.append(TraceRow(run.opt.step - 1, run.epoch, lr, batch_loss))
         run.epoch += 1
         if after_epoch is not None:
@@ -427,9 +425,9 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None, checkpoint=No
     """Supervised stage on all patches (no masking). Detection mixes batches
     with mixup/cutmix; intensity uses neither; checkpoints like pretrain_loop.
     A frozen encoder's parameters stop requiring gradients, so its forward
-    records nothing and backward stops at the head. Returns (trace rows of
-    this call, list of (epoch, MetricsReport) from the held-out split every
-    eval_every epochs)."""
+    records nothing, backward stops at the head and AdamW leaves them
+    untouched. Returns (trace rows of this call, list of (epoch,
+    MetricsReport) from the held-out split every eval_every epochs)."""
     config = run.config
     task = config.task
     if task not in ("detect", "intensity"):

@@ -375,6 +375,17 @@ def test_pretrain_resume_matches_uninterrupted(tmp_path, corpus_dir, pre_dir):
     assert steps == list(range(6))  # contiguous across the restart
 
 
+def test_resuming_a_finished_pretrain_changes_nothing(tmp_path, corpus_dir, pre_dir, capsys):
+    out = tmp_path / "done"
+    shutil.copytree(pre_dir, out)
+    capsys.readouterr()
+    assert run(["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                "--out", str(out), "--resume", str(out / "run_state.bin")]) == 0
+    assert "nothing to do" in capsys.readouterr().out
+    for name in ("model.ckpt", "trace.csv", "run_state.bin"):
+        assert (out / name).read_bytes() == (pre_dir / name).read_bytes(), name
+
+
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # a desk-width pretrain in two processes, at one and at two OpenBLAS
     # threads
@@ -1292,6 +1303,10 @@ def _lines(*objs):
                  id="occurrence-not-binary"),
     pytest.param(_lines(_HEADER, dict(_RECORD, intensity=[1])), None,
                  id="intensity-count"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, occurrence=[[0, 1]])), None,
+                 id="occurrence-nested"),
+    pytest.param(_lines(_HEADER, dict(_RECORD, intensity=[[0, 3]])), None,
+                 id="intensity-nested"),
     pytest.param(_lines(_HEADER, dict(_RECORD, intensity=[0, 6])), None,
                  id="intensity-range"),
     pytest.param(_lines(_HEADER, dict(_RECORD, occurrence=[0.5, 1.9])), None,
@@ -1325,10 +1340,13 @@ def _lines(*objs):
                  id="au-names-not-strings"),
     pytest.param(_lines(_HEADER, "not json"), None, id="record-not-json"),
     pytest.param(_lines(_HEADER, {"image": "img.pgm"}), None, id="record-malformed"),
+    pytest.param(_lines(_HEADER, _RECORD).encode().replace(b'"s0"', b'"s\xe9"'), None,
+                 id="manifest-not-utf8"),
 ])
 def test_malformed_input_is_data_error(tmp_path, capsys, manifest, image):
     # `align` decodes every image; `stats` reads the manifest alone
-    (tmp_path / "m.jsonl").write_text(manifest)
+    (tmp_path / "m.jsonl").write_bytes(manifest if isinstance(manifest, bytes)
+                                       else manifest.encode())
     if image is not None:
         (tmp_path / "img.pgm").write_bytes(image)
     out = tmp_path / "out"
