@@ -17,11 +17,17 @@ backwards. Each op is one tape node with a hand-written backward:
 Ops take Tensors (an array enters through `Tensor`, in the default dtype).
 Binary ops take equal shapes; anything else raises ShapeError.
 
+A node records, per input, where its gradient goes: nowhere, to a live
+output of an earlier node (by id), or into the leaf Tensor itself; and its
+backward keeps only the arrays and shapes it reads. So the tape frees every
+intermediate that no backward reads, and `backward` is one reverse pass.
+
 Batches: `linear`, `attention`, `layer_norm`, `index_select` and
 `scatter_rows` read a 3-D input `[K, T, D]` as K samples of T rows, and a
 2-D one (or a vector) as one sample. On a batch they hand each parameter one
 gradient per sample, `[K, *shape]`, and `backward` adds those into the
-parameter's buffer one sample at a time, in sample order. So a tape over K
+parameter's buffer one sample at a time, in sample order. So for a
+parameter that one node reads, as each model parameter is, a tape over K
 samples leaves the same gradient bits as K one-sample tapes run in turn.
 Every product of a batch is numpy's stacked matmul, which calls BLAS once
 per sample with the shapes a lone sample's product has, so its rows keep
@@ -48,6 +54,7 @@ from __future__ import annotations
 import builtins
 import contextlib
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +92,7 @@ class Tensor:
     Value-semantic: construction copies, ops never mutate their inputs.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.array(data, dtype=_default_dtype)
@@ -129,8 +136,8 @@ def tensor(data, requires_grad=False):
 @dataclass
 class _Node:
     out_id: int
-    inputs: tuple
-    backward: object  # callable(grad) -> tuple of arrays/None, aligned with inputs
+    targets: tuple  # per input: None, an earlier output's id, or the leaf Tensor
+    backward: object  # callable(grad) -> tuple of arrays/None, aligned with targets
     name: str
 
 
@@ -139,7 +146,8 @@ class Tape:
     """Ordered record of operations; topological by construction."""
 
     nodes: list = field(default_factory=list)
-    _out_ids: set = field(default_factory=set)
+    # id -> each live output; a dead one's id may come back as a leaf's
+    _outputs: weakref.WeakValueDictionary = field(default_factory=weakref.WeakValueDictionary)
 
     def __enter__(self):
         _tape_stack.append(self)
@@ -152,8 +160,10 @@ class Tape:
         return False
 
     def record(self, out, inputs, backward, name):
-        self.nodes.append(_Node(id(out), inputs, backward, name))
-        self._out_ids.add(id(out))
+        targets = tuple(None if not t.requires_grad
+                        else id(t) if self._outputs.get(id(t)) is t else t for t in inputs)
+        self.nodes.append(_Node(id(out), targets, backward, name))
+        self._outputs[id(out)] = out
 
 
 _tape_stack: list = []
@@ -172,41 +182,31 @@ def _result(arr, inputs, backward, name):
 def backward(loss, tape):
     """Populate grads of every requires_grad leaf with d(loss)/d(leaf).
 
-    Repeated calls (on new tapes) without zero_grad accumulate. A leaf
-    handed one gradient per sample (by a batched op) adds them in sample
-    order. The pass uses the tape up: each node is dropped once passed, with
-    the activations its backward kept, and a leaf's gradient goes into its
-    buffer once the earliest node that reads it is passed, so neither a
-    chunk's activations nor its per-sample gradients outlive their use.
+    Repeated calls (on new tapes) without zero_grad accumulate. Each node's
+    input gradients go where it recorded: an earlier output's is summed until
+    that output's node is passed; a leaf's goes into its buffer at once, one
+    sample at a time in sample order if a batched op handed it one per
+    sample. The pass uses the tape up: each node is dropped once passed, with
+    the activations its backward kept.
     """
     if loss.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if id(loss) not in tape._out_ids:
+    if tape._outputs.get(id(loss)) is not loss:
         raise ValueError("loss was not produced on this tape")
     if not tape.nodes:
         raise ValueError("backward already ran on this tape")
-    whole_after = {}  # node index -> the leaves it is the earliest reader of
-    seen = set()
-    for i, node in enumerate(tape.nodes):
-        for inp in node.inputs:
-            if inp.requires_grad and id(inp) not in tape._out_ids and id(inp) not in seen:
-                seen.add(id(inp))
-                whole_after.setdefault(i, []).append(inp)
     grads = {id(loss): np.ones_like(loss.data)}
-    for i in range(len(tape.nodes) - 1, -1, -1):
+    while tape.nodes:
         node = tape.nodes.pop()
         g = grads.pop(node.out_id, None)
-        if g is not None:
-            for inp, ig in zip(node.inputs, node.backward(g)):
-                if ig is None or not inp.requires_grad:
-                    continue
-                key = id(inp)
-                grads[key] = grads[key] + ig if key in grads else ig
-        for leaf in whole_after.get(i, ()):
-            g = grads.pop(id(leaf), None)
-            if g is not None:
-                for part in (g if g.ndim > leaf.ndim else (g,)):
-                    leaf.accumulate_grad(part)
+        if g is None:
+            continue
+        for target, ig in zip(node.targets, node.backward(g)):
+            if isinstance(target, Tensor):
+                for part in (ig if ig.ndim > target.ndim else (ig,)):
+                    target.accumulate_grad(part)
+            elif target is not None:
+                grads[target] = grads[target] + ig if target in grads else ig
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def add(a, b):
 
 def sub(a, b):
     _same_shape(a, b, "sub")
-    return _result(a.data - b.data, (a, b), lambda g: (g, -g if b.requires_grad else None), "sub")
+    return _result(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
 def scale(x, c):
@@ -333,8 +333,8 @@ def _reduce(x, axis, keepdims, mean):
         arr = arr.reshape(1)
     kept = tuple(1 if a in axes else size for a, size in enumerate(x.shape))
 
-    def back(g):
-        spread = np.broadcast_to(g.reshape(kept), x.shape).copy()
+    def back(g, shape=x.shape):
+        spread = np.broadcast_to(g.reshape(kept), shape).copy()
         return (spread / n if mean else spread,)
 
     return _result(arr, (x,), back, "mean" if mean else "sum")
@@ -349,7 +349,7 @@ def mean(x, axis=None, keepdims=False):
 
 
 def reshape(x, shape):
-    return _result(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),), "reshape")
+    return _result(x.data.reshape(shape), (x,), lambda g, s=x.shape: (g.reshape(s),), "reshape")
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +376,11 @@ def linear(x, w, b):
     """x @ w + b for x of shape [k], [n, k] or a batch [K, n, k]; w [k, m], b [m]."""
     if x.ndim > 3 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
-    arr = x.data @ w.data + b.data
+    xd, wd, needs_gx = x.data, w.data, x.requires_grad
+    arr = xd @ wd + b.data
 
     def back(g):
-        gx = g @ w.data.T if x.requires_grad else None
-        gw, gb = _param_grads(x.data, g)
-        return gx, gw if w.requires_grad else None, gb if b.requires_grad else None
+        return (g @ wd.T if needs_gx else None, *_param_grads(xd, g))
 
     return _result(arr, (x, w, b), back, "linear")
 
@@ -473,7 +472,7 @@ def scatter_rows(x, fill, rows, n):
 
     def back(g):
         # per sample: the rows that hold the token, summed in row order
-        return g[at], g[others].reshape(*x.shape[:-2], -1, x.shape[-1]).sum(axis=-2)
+        return g[at], g[others].reshape(*others.shape[:-1], -1, g.shape[-1]).sum(axis=-2)
 
     return _result(arr, (x, fill), back, "scatter_rows")
 
@@ -487,8 +486,8 @@ def index_select(x, idx):
         raise IndexError(f"index_select: indices outside [0, {n})")
     arr = x.data[at]
 
-    def back(g):
-        gx = np.zeros_like(x.data)
+    def back(g, shape=x.shape, dtype=x.data.dtype):
+        gx = np.zeros(shape, dtype)
         np.add.at(gx, at, g)
         return (gx,)
 
@@ -514,16 +513,13 @@ def layer_norm(x, gamma, beta):
     xc = x.data - _row_mean(x.data)
     inv = 1.0 / np.sqrt(_row_mean(xc * xc) + _LN_EPS)
     xhat = xc * inv
-    arr = xhat * gamma.data + beta.data
+    g_data = gamma.data
+    arr = xhat * g_data + beta.data
 
     def back(g):
-        gg = _column_sums(g * xhat) if gamma.requires_grad else None
-        gb = _column_sums(g) if beta.requires_grad else None
-        gx = None
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            gx = (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat)) * inv
-        return gx, gg, gb
+        dxhat = g * g_data
+        gx = (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat)) * inv
+        return gx, _column_sums(g * xhat), _column_sums(g)
 
     return _result(arr, (x, gamma, beta), back, "layer_norm")
 
@@ -558,12 +554,8 @@ def grad_check(f, inputs, h=1e-5, tol=1e-4, sample=None, rng=None):
         x.requires_grad = True
         x.zero_grad()
 
-    def run():
-        with Tape() as tape:
-            out = f(*xs)
-            return out, tape
-
-    out, tape = run()
+    with Tape() as tape:
+        out = f(*xs)
     backward(out, tape)
     analytic = [np.zeros_like(x.data) if x.grad is None else x.grad.copy() for x in xs]
     for x in xs:

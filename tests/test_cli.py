@@ -24,6 +24,7 @@ from faceau import cli
 from faceau.data import (load_corpus, read_image, read_manifest, to_float,
                          write_manifest)
 from faceau.model import patchify, sample_mask
+from faceau.synth import synth_corpus, write_corpus
 
 TINY_MODEL = [
     "--image-size", "16", "--patch-size", "4",
@@ -1173,6 +1174,45 @@ def test_reconstruct_rejects_finetuned_checkpoint(tmp_path, corpus_dir,
                 "--out", str(tmp_path / "x")])
     assert code == 2
     assert "decoder" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# three channels
+
+
+def test_three_channel_chain(tmp_path):
+    # pretrain, a detect finetune scored on a held-out manifest, eval and
+    # reconstruct, all on P6 faces whose channels differ: (g, 255 - g, g // 2)
+    # of each 16-px synth face. The checkpoint hashes hold for one BLAS build
+    # (OpenBLAS 0.3.31, Haswell kernels); another kernel may round otherwise.
+    corpus = synth_corpus(seed=1, count=12, image_size=16, num_subjects=3)
+    corpus.images = [np.concatenate([g, 255 - g, g // 2]) for g in corpus.images]
+    corpus.manifest.records = [dataclasses.replace(r, image_path=r.image_path[:-4] + ".ppm")
+                               for r in corpus.manifest.records]
+    manifest = write_corpus(corpus, str(tmp_path / "data"))
+    model = TINY_MODEL + ["--channels", "3"]
+    assert run(["pretrain", "--manifest", manifest, "--out", str(tmp_path / "pre"),
+                "--seed", "0"] + model + TINY_TRAIN) == 0
+    assert run(["finetune", "--task", "detect",
+                "--init", "checkpoint:" + str(tmp_path / "pre" / "model.ckpt"),
+                "--manifest", manifest, "--eval-manifest", manifest,
+                "--out", str(tmp_path / "ft"), "--seed", "0"] + model + TINY_TRAIN) == 0
+    assert run(["eval", "--checkpoint", str(tmp_path / "ft" / "model.ckpt"),
+                "--manifest", manifest, "--out", str(tmp_path / "ev")]) == 0
+    image = str(tmp_path / "data" / "img_00000.ppm")
+    assert run(["reconstruct", "--checkpoint", str(tmp_path / "pre" / "model.ckpt"),
+                "--image", image, "--mask-ratio", "0.5", "--seed", "3",
+                "--out", str(tmp_path / "rc")]) == 0
+    triptych = read_image(str(tmp_path / "rc" / "triptych_050.ppm"))
+    assert triptych.shape == (3, 16, 48)
+    assert np.array_equal(triptych[:, :, 32:], read_image(image))
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        assert not np.array_equal(triptych[a, :, :32], triptych[b, :, :32])
+    digests = {stage: hashlib.sha256((tmp_path / stage / "model.ckpt").read_bytes()).hexdigest()
+               for stage in ("pre", "ft")}
+    assert digests == {
+        "pre": "bc3d88b5d31f2411b217398827c8fc8fe292397386f1b23d8c4de855d4ec3840",
+        "ft": "0659c654dee36e574456057b9e64533bcd5b6411b7b807f6792021416e9a8c1c"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Autodiff core: forward oracles, gradient checks, shape rules, the op set."""
 
+import gc
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +213,64 @@ def test_no_tape_forward_is_untracked():
     y = ng.sum(ng.square(x))  # outside any tape
     assert y.item() == pytest.approx(3.0)
     assert x.grad is None
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["never-read", "read"])
+def test_leaf_that_reuses_a_dead_outputs_id_gets_its_own_gradient(read):
+    # an output that dies frees its id, which a leaf made next may take; the
+    # leaf's gradient must reach the leaf, not the dead output's node
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        y = ng.square(x)
+        if read:
+            ng.sum(y)
+        del y
+        leaf = Tensor(np.full(3, 2.0), requires_grad=True)
+        loss = ng.sum(ng.square(leaf))
+    backward(loss, tape)
+    assert np.array_equal(leaf.grad, [4.0, 4.0, 4.0])
+    assert x.grad is None
+
+
+# ops whose backward does not read the input `h` [K=2, T=3, D=4]; `leaf`
+# makes each op's other inputs
+READS_NOT_ITS_INPUT = {
+    "add": lambda h, leaf: ng.add(leaf(h.shape), h),
+    "sub": lambda h, leaf: ng.sub(leaf(h.shape), h),
+    "scale": lambda h, leaf: ng.scale(h, 3.0),
+    "sum": lambda h, leaf: ng.sum(h, axis=-1),
+    "mean": lambda h, leaf: ng.mean(h, axis=(0, 2)),
+    "reshape": lambda h, leaf: ng.reshape(h, (6, 4)),
+    "layer_norm": lambda h, leaf: ng.layer_norm(h, leaf(4), leaf(4)),
+    "index_select": lambda h, leaf: ng.index_select(h, [[2, 0], [1, 1]]),
+    "scatter_rows": lambda h, leaf: ng.scatter_rows(h, leaf(4), [[3, 0, 1], [2, 4, 0]], 5),
+}
+
+
+@pytest.mark.parametrize("op", READS_NOT_ITS_INPUT)
+def test_tape_does_not_keep_an_input_backward_does_not_read(op):
+    # h, an intermediate, is dropped before backward: its array must be
+    # freed, and the gradients must be those of a run that kept it
+    grads = []
+    for keep in (True, False):
+        rng = np.random.default_rng(17)
+
+        def leaf(shape):
+            return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+        x = leaf((2, 3, 4))
+        with Tape() as tape:
+            h = ng.scale(x, 2.0)
+            data = weakref.ref(h.data)
+            # scale copies: square keeps a copy, not a view of h (reshape's)
+            loss = ng.sum(ng.square(ng.scale(READS_NOT_ITS_INPUT[op](h, leaf), 1.0)))
+            if not keep:
+                del h
+        gc.collect()
+        assert (data() is not None) == keep
+        backward(loss, tape)
+        grads.append(x.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_reductions_over_axis():
