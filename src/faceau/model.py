@@ -400,8 +400,7 @@ def _blocks(x, params, prefix, depth, heads, branch_hook=None):
 
 
 def _as_patch_tensor(patches, config):
-    if not isinstance(patches, Tensor):
-        patches = Tensor(np.asarray(patches, dtype=ng.default_dtype()))
+    patches = patches if isinstance(patches, Tensor) else Tensor(patches)
     if patches.ndim not in (2, 3) or patches.shape[-2:] != (config.num_patches,
                                                             config.patch_dim):
         raise ShapeError(f"expected patches [{config.num_patches}, {config.patch_dim}] "

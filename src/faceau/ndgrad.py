@@ -1,6 +1,6 @@
 """Differentiable n-dimensional array core.
 
-A small reverse-mode engine on top of dense row-major numpy arrays. It
+A small reverse-mode engine on top of dense numpy arrays. It
 implements exactly the ops the transformer model, its losses and the
 training loop call, plus a tape that records operations and replays them
 backwards. Each op is one tape node with a hand-written backward:
@@ -14,8 +14,10 @@ backwards. Each op is one tape node with a hand-written backward:
 - rows: `index_select` (gather) and `scatter_rows` (visible rows plus the
   shared mask token in restore order)
 
-Ops take Tensors (an array enters through `Tensor`, in the default dtype).
-Binary ops take equal shapes; anything else raises ShapeError.
+Ops take Tensors; `Tensor(data)` wraps an array of the default dtype and
+converts anything else. Binary ops take equal shapes; anything else raises
+ShapeError. Each thread has its own tape slot and default dtype: tapes do
+not nest, and `precision` switches only the calling thread's dtype.
 
 A node records, per input, where its gradient goes: nowhere, to a live
 output of an earlier node (by id), or into the leaf Tensor itself; and its
@@ -54,6 +56,7 @@ from __future__ import annotations
 import builtins
 import contextlib
 import math
+import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -65,37 +68,41 @@ class ShapeError(ValueError):
 
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
-_default_dtype = np.float32
+
+
+class _ThreadState(threading.local):
+    tape = None  # the Tape this thread records on
+    dtype = np.float32  # this thread's default dtype
+
+
+_state = _ThreadState()
 
 
 def default_dtype():
-    return _default_dtype
+    return _state.dtype
 
 
 @contextlib.contextmanager
 def precision(name):
-    """Temporarily switch the default dtype ('float32' or 'float64')."""
-    global _default_dtype
+    """Temporarily switch this thread's default dtype ('float32' or 'float64')."""
     if name not in _DTYPES:
         raise ValueError(f"unsupported dtype {name!r}, expected one of {sorted(_DTYPES)}")
-    saved = _default_dtype
-    _default_dtype = _DTYPES[name]
+    saved = _state.dtype
+    _state.dtype = _DTYPES[name]
     try:
         yield
     finally:
-        _default_dtype = saved
+        _state.dtype = saved
 
 
 class Tensor:
-    """Dense row-major array with an optional gradient buffer.
-
-    Value-semantic: construction copies, ops never mutate their inputs.
-    """
+    """Dense array with an optional gradient buffer. Wraps an array of the
+    default dtype (sharing its memory); ops never mutate their inputs."""
 
     __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.array(data, dtype=_default_dtype)
+        self.data = np.asarray(data, dtype=_state.dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -150,14 +157,13 @@ class Tape:
     _outputs: weakref.WeakValueDictionary = field(default_factory=weakref.WeakValueDictionary)
 
     def __enter__(self):
-        _tape_stack.append(self)
+        if _state.tape is not None:
+            raise RuntimeError("a tape is already recording on this thread; tapes do not nest")
+        _state.tape = self
         return self
 
     def __exit__(self, *exc):
-        if not _tape_stack or _tape_stack[-1] is not self:
-            raise RuntimeError("tape stack corrupted: exiting a tape that is not innermost")
-        _tape_stack.pop()
-        return False
+        _state.tape = None
 
     def record(self, out, inputs, backward, name):
         targets = tuple(None if not t.requires_grad
@@ -166,16 +172,13 @@ class Tape:
         self._outputs[id(out)] = out
 
 
-_tape_stack: list = []
-
-
 def _result(arr, inputs, backward, name):
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.requires_grad = builtins.any(t.requires_grad for t in inputs)
     out.grad = None
-    if _tape_stack and out.requires_grad:
-        _tape_stack[-1].record(out, inputs, backward, name)
+    if _state.tape is not None and out.requires_grad:
+        _state.tape.record(out, inputs, backward, name)
     return out
 
 
@@ -278,14 +281,11 @@ def _erf(z):
 def gelu(x):
     """GELU in the erf form, x·Φ(x), with the A&S `_erf`: within 2.5e-7 of
     the exact value in float64 and 5e-7·max(1, |value|) in float32, on
-    [-10, 10]. Backward g·(Φ(x) + x·φ(x)) reuses the forward's Φ."""
+    [-10, 10]. The tape keeps one array, the derivative Φ(x) + x·φ(x)."""
     v = x.data
     cdf = 0.5 * (1.0 + _erf(v * _INV_SQRT2))
-
-    def back(g):
-        return (g * (cdf + v * np.exp(-0.5 * v * v) * _INV_SQRT_2PI),)
-
-    return _result(v * cdf, (x,), back, "gelu")
+    d = cdf + v * np.exp(-0.5 * v * v) * _INV_SQRT_2PI
+    return _result(v * cdf, (x,), lambda g: (g * d,), "gelu")
 
 
 def _sigmoid(v):
@@ -565,8 +565,9 @@ def grad_check(f, inputs, h=1e-5, tol=1e-4, sample=None, rng=None):
     per_input = []
     worst = 0.0
     for x, an in zip(xs, analytic):
-        flat = x.data.reshape(-1)
-        n = flat.size
+        # .flat writes through for any layout; reshape(-1) copies a strided array
+        flat = x.data.flat
+        n = x.data.size
         if sample is not None and sample < n:
             positions = rng.choice(n, size=sample, replace=False)
         else:

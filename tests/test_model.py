@@ -2,6 +2,8 @@
 
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -658,3 +660,51 @@ def test_backward_through_masked_pipeline_populates_grads():
     grads = [t.grad for t in w.params.values()]
     assert all(g is not None for g in grads)
     assert any(np.abs(g).sum() > 0 for g in grads)
+
+
+def _desk_detect_grads(seed, steps=4, barrier=None):
+    """Gradient bytes of `steps` tapes over one 2-sample desk detect chunk,
+    each waiting at `barrier` (if given) before it starts."""
+    cfg = preset("desk", task="detect")
+    rng = np.random.default_rng(seed)
+    w = init_weights(cfg, rng)
+    patches = rng.standard_normal((2, cfg.num_patches, cfg.patch_dim))
+    labels = AULabels(occurrence=rng.integers(0, 2, (2, cfg.num_aus)))
+    grads = []
+    for _ in range(steps):
+        if barrier is not None:
+            barrier.wait()
+        w.zero_grad()
+        with Tape() as tape:
+            loss = ng.sum(loss_detection(classifier_forward(w, patches), labels))
+        backward(loss, tape)
+        grads.append(b"".join(t.grad.tobytes() for t in w.params.values()))
+    return grads
+
+
+def test_two_threads_record_tapes_at_once():
+    # each thread records on its own tape: its gradients are a lone run's
+    alone = {seed: _desk_detect_grads(seed) for seed in (0, 1)}
+    barrier = threading.Barrier(2, timeout=60)
+    got, errors = {}, []
+
+    def run(seed):
+        try:
+            got[seed] = _desk_detect_grads(seed, barrier=barrier)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in alone]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, inside every op
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert got == alone

@@ -3,6 +3,7 @@
 import gc
 import math
 import re
+import threading
 import weakref
 from pathlib import Path
 
@@ -293,6 +294,58 @@ def test_default_dtype_is_float32_and_precision_context_switches():
         assert y.data.dtype == np.float64
     z = Tensor([1.0])
     assert z.data.dtype == np.float32
+
+
+def test_precision_switches_only_the_calling_threads_dtype():
+    seen = {}
+    inside, done = threading.Event(), threading.Event()
+
+    def other():
+        with ng.precision("float64"):
+            seen["other"] = Tensor([1.0]).data.dtype
+            inside.set()
+            done.wait(30)
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    assert inside.wait(30)
+    seen["main"] = Tensor([1.0]).data.dtype
+    done.set()
+    thread.join(30)
+    assert not thread.is_alive()
+    assert seen == {"other": np.float64, "main": np.float32}
+
+
+def test_a_nested_tape_raises():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as outer:
+        with pytest.raises(RuntimeError):
+            with Tape():
+                pass
+        loss = ng.sum(ng.square(x))  # still recorded on the outer tape
+    backward(loss, outer)
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+    with Tape():  # the thread's slot is free again
+        pass
+
+
+def test_tensor_wraps_an_array_of_its_dtype_and_converts_any_other():
+    a = np.arange(6, dtype=np.float32).reshape(2, 3)
+    assert np.shares_memory(Tensor(a).data, a)
+    b = a.astype(np.float64)
+    t = Tensor(b)
+    assert t.data.dtype == np.float32 and not np.shares_memory(t.data, b)
+    with ng.precision("float64"):
+        assert np.shares_memory(Tensor(b).data, b)
+        assert not np.shares_memory(Tensor(a).data, a)
+
+
+def test_grad_check_on_a_transposed_input():
+    # a.T is F-ordered: the probe must perturb the tensor's own elements
+    a = np.random.default_rng(5).standard_normal((3, 4))
+    with ng.precision("float64"):
+        report = grad_check(lambda t: ng.sum(ng.square(t)), Tensor(a.T))
+    assert report.passed, report
 
 
 def test_grad_check_report_fields():
