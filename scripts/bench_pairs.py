@@ -15,7 +15,8 @@ the metric; ties count for neither) and the machine the runs saw: core
 count, numpy and BLAS versions and BLAS threads, from
 `.bench_runs/W/measure.json`. With --out FILE the workload's record is
 stored in FILE under "workloads" (replacing an earlier record of that
-workload); without it the record is printed.
+workload, keeping whatever else FILE holds); without it the record is
+printed.
 """
 
 from __future__ import annotations
@@ -37,6 +38,28 @@ def parse_seeds(text):
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
     return seeds
+
+
+def alternate(seeds, sides):
+    """(seed, side, ran_first) in run order: the sides in order on even pairs
+    and reversed on odd ones."""
+    for i, seed in enumerate(seeds):
+        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            yield seed, side, side == order[0]
+
+
+def store(path, section, key, record):
+    """Set doc[section][key] = record in the JSON file at `path`, keeping
+    everything else the file holds (a new file if there is none)."""
+    doc = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+    doc.setdefault(section, {})[key] = record
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -107,16 +130,14 @@ def main(argv=None):
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     runs = {side: [] for side in SIDES}
-    for i, seed in enumerate(args.seeds):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for side in order:
-            record = run_once(dirs[side], args.workload, seed, seconds)
-            record["ran_first"] = side == order[0]
-            runs[side].append(record)
-            shown = record.get("metrics", {}).get("samples_per_s")
-            print(f"seed {seed} {side:<6} exit {record['exit']} "
-                  f"correct {record.get('correct')} samples/s {shown}",
-                  file=sys.stderr, flush=True)
+    for seed, side, first in alternate(args.seeds, SIDES):
+        record = run_once(dirs[side], args.workload, seed, seconds)
+        record["ran_first"] = first
+        runs[side].append(record)
+        shown = record.get("metrics", {}).get("samples_per_s")
+        print(f"seed {seed} {side:<6} exit {record['exit']} "
+              f"correct {record.get('correct')} samples/s {shown}",
+              file=sys.stderr, flush=True)
 
     record = {
         "command": f"python3 bench/run.py --workload {args.workload} --seed S "
@@ -129,15 +150,8 @@ def main(argv=None):
     }
     if args.out is None:
         print(json.dumps(record, indent=1))
-        return 0
-    doc = {"workloads": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    doc["workloads"][args.workload] = record
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    else:
+        store(args.out, "workloads", args.workload, record)
     return 0
 
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import shutil
@@ -59,7 +58,7 @@ import sys
 import tempfile
 import time
 
-from bench_pairs import parse_seeds
+from bench_pairs import alternate, parse_seeds, store
 from same_bytes import run_chain
 
 METRICS = ("pretrain_loss", "f1", "icc", "mae", "f1_gap", "icc_gap", "mae_gap")
@@ -168,13 +167,11 @@ def main(argv=None):
     work = args.work or tempfile.mkdtemp(prefix="equivalence_")
     run_dir = os.path.join(work, "run")
     runs = {side: [] for side in sides}
-    for i, seed in enumerate(args.seeds):
-        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-        for side in order:
-            got = run_seed(sides[side], seed, run_dir)
-            runs[side].append(got)
-            print(f"seed {seed} {side:<6} " + " ".join(f"{m} {got[m]:.4f}" for m in METRICS)
-                  + f" ({got['wall_s']:.0f} s)", file=sys.stderr, flush=True)
+    for seed, side, _ in alternate(args.seeds, sides):
+        got = run_seed(sides[side], seed, run_dir)
+        runs[side].append(got)
+        print(f"seed {seed} {side:<6} " + " ".join(f"{m} {got[m]:.4f}" for m in METRICS)
+              + f" ({got['wall_s']:.0f} s)", file=sys.stderr, flush=True)
     if not args.work:
         shutil.rmtree(work)
 
@@ -194,14 +191,7 @@ def main(argv=None):
         for m, v in record["spread"]["parent"].items():
             print(f"{m:<14} mean {v['mean']:.4f}  sd {v['sd']}")
     if args.out:
-        doc = {}
-        if os.path.exists(args.out):
-            with open(args.out) as fh:
-                doc = json.load(fh)
-        doc.setdefault("equivalence", {})[args.label] = record
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        store(args.out, "equivalence", args.label, record)
     return 1 if failed else 0
 
 

@@ -32,8 +32,7 @@ def drop_path(x, rate, rng, training):
     if not training or rate == 0.0:
         return x
     if isinstance(rng, np.random.Generator):
-        keep = rng.random() >= rate
-        return ng.scale(x, 1.0 / (1.0 - rate) if keep else 0.0)
+        rng = rng.random()
     return ng.scale(x, np.where(np.asarray(rng) >= rate, 1.0 / (1.0 - rate), 0.0))
 
 
@@ -89,8 +88,12 @@ def _translate(image, dx, dy):
     return bilinear_sample(image.astype(np.float64), xs - dx, ys - dy)
 
 
-def _crop_resize(image, side, top, left):
+def _crop_resize(image, scale, rng):
+    """A random square window of side scale·h, resized back to full size."""
     c, h, w = image.shape
+    side = max(1, int(round(scale * h)))
+    top = int(rng.integers(0, h - side + 1))
+    left = int(rng.integers(0, w - side + 1))
     crop = image[:, top:top + side, left:left + side]
     if side == h:
         return crop.copy()
@@ -123,11 +126,7 @@ def _apply_op(image, op, m01, rng):
         mean = image.mean()
         return np.clip((image - mean) * factor + mean, 0.0, 1.0)
     if op == "crop_resize":
-        scale = 1.0 - float(rng.uniform(0.0, 0.4)) * m01
-        side = max(1, int(round(scale * h)))
-        top = int(rng.integers(0, h - side + 1))
-        left = int(rng.integers(0, w - side + 1))
-        return _crop_resize(image, side, top, left)
+        return _crop_resize(image, 1.0 - float(rng.uniform(0.0, 0.4)) * m01, rng)
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -149,9 +148,5 @@ def randaug_light(image, magnitude, prob, rng):
 def random_crop_resize(image, rng, min_scale=0.6, max_scale=1.0):
     """Pre-training crop: random square window, resized back to full size."""
     image = np.asarray(image, dtype=np.float32)
-    c, h, w = image.shape
     scale = float(rng.uniform(min_scale, max_scale))
-    side = max(1, int(round(scale * h)))
-    top = int(rng.integers(0, h - side + 1))
-    left = int(rng.integers(0, w - side + 1))
-    return np.asarray(_crop_resize(image, side, top, left), dtype=np.float32)
+    return np.asarray(_crop_resize(image, scale, rng), dtype=np.float32)

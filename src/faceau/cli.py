@@ -179,16 +179,27 @@ def _format_value(value):
     return str(value)
 
 
+def _refuse_overwrite(outputs, inputs):
+    """Reject a run that would write one of its outputs over an input."""
+    inputs = {os.path.realpath(p) for p in inputs}
+    for path in outputs:
+        if os.path.realpath(path) in inputs:
+            raise ValueError(f"{path} is one of this command's inputs; "
+                             "choose another --out")
+
+
 def open_out(args, values=None):
     """Create --out and write its resolved.cfg: the settings as keys
     (`values`, or else the parsed arguments) and every other parsed argument
     but --config as a comment, in parse order. Every command calls this
     once, after all of its inputs are read and checked, before any other
-    output."""
+    output; it refuses an --out whose resolved.cfg is the --config file."""
     parsed = {k: v for k, v in vars(args).items()
               if k not in ("command", "func", "out", "config") and v is not None}
     if values is None:
         values = parsed
+    config = vars(args).get("config")
+    _refuse_overwrite([os.path.join(args.out, "resolved.cfg")], [config] if config else [])
     os.makedirs(args.out, exist_ok=True)
     lines = [f"# faceau {args.command}"]
     lines += [f"# {key} = {_format_value(value)}"
@@ -348,10 +359,9 @@ def render_triptych(weights, image_u8, ratio, rng):
     pred = decoder_forward(weights, latent, plan).data
     if cfg.norm_pix_target:
         pred = denormalize_patches(pred, patch_normalize(patches))
-    recon_patches = np.asarray(patches, dtype=np.float64).copy()
-    if plan.masked_idx.size:
-        recon_patches[plan.masked_idx] = pred[plan.masked_idx]
-    masked_patches = np.asarray(patches, dtype=np.float64).copy()
+    recon_patches = patches.astype(np.float64)
+    recon_patches[plan.masked_idx] = pred[plan.masked_idx]
+    masked_patches = patches.astype(np.float64)
     masked_patches[plan.masked_idx] = 0.5
     panels = [
         unpatchify(masked_patches, cfg.patch_size, cfg.channels),
@@ -388,15 +398,6 @@ def cmd_reconstruct(args):
 
 # ---------------------------------------------------------------------------
 # dataset tooling
-
-
-def _refuse_overwrite(outputs, inputs):
-    """Reject a run that would write one of its outputs over an input."""
-    inputs = {os.path.realpath(p) for p in inputs}
-    for path in outputs:
-        if os.path.realpath(path) in inputs:
-            raise ValueError(f"{path} is one of this command's inputs; "
-                             "choose another --out")
 
 
 def cmd_stats(args):
@@ -581,16 +582,20 @@ def build_parser():
         description="masked-autoencoder pre-training and action-unit "
                     "fine-tuning, desk scale")
     sub = parser.add_subparsers(dest="command")
+    # every command writes to --out; the training commands also read --config
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config")
+    training = [out, config]
 
-    p = sub.add_parser("pretrain", help="self-supervised pre-training")
+    p = sub.add_parser("pretrain", help="self-supervised pre-training", parents=training)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--resume", help="run-state file to continue from")
     _add_option_flags(p, COMMAND_OPTIONS["pretrain"])
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="supervised fine-tuning")
+    p = sub.add_parser("finetune", help="supervised fine-tuning", parents=training)
     p.add_argument("--task", required=True, choices=("detect", "intensity"))
     p.add_argument("--init", required=True,
                    help="'scratch' or 'checkpoint:<path>'")
@@ -600,65 +605,54 @@ def build_parser():
     p.add_argument("--num-folds", dest="num_folds", type=int, default=3)
     p.add_argument("--fraction", type=float,
                    help="sparse-frames protocol fraction")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
     _add_option_flags(p, COMMAND_OPTIONS["finetune"])
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("eval", help="metrics for a fine-tuned checkpoint")
+    p = sub.add_parser("eval", help="metrics for a fine-tuned checkpoint", parents=[out])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("reconstruct", help="triptych rendering")
+    p = sub.add_parser("reconstruct", help="triptych rendering", parents=[out])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--mask-ratio", dest="mask_ratio", type=float,
                    nargs="+", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("stats", help="label distribution report")
+    p = sub.add_parser("stats", help="label distribution report", parents=[out])
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("synth", help="generate the synthetic corpus")
+    p = sub.add_parser("synth", help="generate the synthetic corpus", parents=[out])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--image-size", dest="image_size", type=int, default=32)
     p.add_argument("--num-subjects", dest="num_subjects", type=int, default=10)
     p.add_argument("--num-aus", dest="num_aus", type=int, default=4)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("subsample", help="every-Nth-frame manifest")
+    p = sub.add_parser("subsample", help="every-Nth-frame manifest", parents=[out])
     p.add_argument("--manifest", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_subsample)
 
-    p = sub.add_parser("align", help="eye-line alignment for a manifest")
+    p = sub.add_parser("align", help="eye-line alignment for a manifest", parents=[out])
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("kfold", help="subject-exclusive fold assignment")
+    p = sub.add_parser("kfold", help="subject-exclusive fold assignment", parents=[out])
     p.add_argument("--manifest", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_kfold)
 
-    p = sub.add_parser("ablate-loss",
+    p = sub.add_parser("ablate-loss", parents=training,
                        help="pretrain-loss grid: {L1, L2} x {w/, w/o} norm")
     p.add_argument("--manifest", required=True)
     p.add_argument("--eval-manifest", dest="eval_manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
     _add_option_flags(p, COMMAND_OPTIONS["ablate-loss"])
     p.set_defaults(func=cmd_ablate_loss)
 

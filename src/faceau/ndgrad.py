@@ -19,10 +19,11 @@ converts anything else. Binary ops take equal shapes; anything else raises
 ShapeError. Each thread has its own tape slot and default dtype: tapes do
 not nest, and `precision` switches only the calling thread's dtype.
 
-A node records, per input, where its gradient goes: nowhere, to a live
-output of an earlier node (by id), or into the leaf Tensor itself; and its
-backward keeps only the arrays and shapes it reads. So the tape frees every
-intermediate that no backward reads, and `backward` is one reverse pass.
+A recorded output carries its `origin`, (tape, node index). A node records,
+per input, where its gradient goes: nowhere, to an earlier node's index, or
+into the leaf Tensor itself; and its backward keeps only the arrays and
+shapes it reads. So the tape frees every intermediate that no backward
+reads, and `backward` is one reverse pass.
 
 Batches: `linear`, `attention`, `layer_norm`, `index_select` and
 `scatter_rows` read a 3-D input `[K, T, D]` as K samples of T rows, and a
@@ -57,7 +58,6 @@ import builtins
 import contextlib
 import math
 import threading
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,12 +99,13 @@ class Tensor:
     """Dense array with an optional gradient buffer. Wraps an array of the
     default dtype (sharing its memory); ops never mutate their inputs."""
 
-    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "origin")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=_state.dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.origin = None  # (tape, node index) of a recorded output
 
     @property
     def shape(self):
@@ -142,8 +143,7 @@ def tensor(data, requires_grad=False):
 
 @dataclass
 class _Node:
-    out_id: int
-    targets: tuple  # per input: None, an earlier output's id, or the leaf Tensor
+    targets: tuple  # per input: None, an earlier node's index, or the leaf Tensor
     backward: object  # callable(grad) -> tuple of arrays/None, aligned with targets
     name: str
 
@@ -153,8 +153,6 @@ class Tape:
     """Ordered record of operations; topological by construction."""
 
     nodes: list = field(default_factory=list)
-    # id -> each live output; a dead one's id may come back as a leaf's
-    _outputs: weakref.WeakValueDictionary = field(default_factory=weakref.WeakValueDictionary)
 
     def __enter__(self):
         if _state.tape is not None:
@@ -167,9 +165,10 @@ class Tape:
 
     def record(self, out, inputs, backward, name):
         targets = tuple(None if not t.requires_grad
-                        else id(t) if self._outputs.get(id(t)) is t else t for t in inputs)
-        self.nodes.append(_Node(id(out), targets, backward, name))
-        self._outputs[id(out)] = out
+                        else t.origin[1] if t.origin and t.origin[0] is self else t
+                        for t in inputs)
+        out.origin = (self, len(self.nodes))
+        self.nodes.append(_Node(targets, backward, name))
 
 
 def _result(arr, inputs, backward, name):
@@ -177,6 +176,7 @@ def _result(arr, inputs, backward, name):
     out.data = arr
     out.requires_grad = builtins.any(t.requires_grad for t in inputs)
     out.grad = None
+    out.origin = None
     if _state.tape is not None and out.requires_grad:
         _state.tape.record(out, inputs, backward, name)
     return out
@@ -194,14 +194,14 @@ def backward(loss, tape):
     """
     if loss.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if tape._outputs.get(id(loss)) is not loss:
+    if not loss.origin or loss.origin[0] is not tape:
         raise ValueError("loss was not produced on this tape")
     if not tape.nodes:
         raise ValueError("backward already ran on this tape")
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {loss.origin[1]: np.ones_like(loss.data)}
     while tape.nodes:
         node = tape.nodes.pop()
-        g = grads.pop(node.out_id, None)
+        g = grads.pop(len(tape.nodes), None)
         if g is None:
             continue
         for target, ig in zip(node.targets, node.backward(g)):
@@ -281,10 +281,13 @@ def _erf(z):
 def gelu(x):
     """GELU in the erf form, x·Φ(x), with the A&S `_erf`: within 2.5e-7 of
     the exact value in float64 and 5e-7·max(1, |value|) in float32, on
-    [-10, 10]. The tape keeps one array, the derivative Φ(x) + x·φ(x)."""
+    [-10, 10]. A recording tape keeps one array, the derivative Φ(x) + x·φ(x),
+    computed only then."""
     v = x.data
     cdf = 0.5 * (1.0 + _erf(v * _INV_SQRT2))
-    d = cdf + v * np.exp(-0.5 * v * v) * _INV_SQRT_2PI
+    d = None
+    if _state.tape is not None and x.requires_grad:
+        d = cdf + v * np.exp(-0.5 * v * v) * _INV_SQRT_2PI
     return _result(v * cdf, (x,), lambda g: (g * d,), "gelu")
 
 

@@ -62,7 +62,10 @@ def init_optim(weights):
     return state
 
 
-def adamw_step(weights, state, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+_EPS = 1e-8  # Adam's denominator floor
+
+
+def adamw_step(weights, state, lr, weight_decay, beta1=0.9, beta2=0.999):
     """One bias-corrected Adam step with decoupled weight decay, in place.
 
     A parameter without a gradient (a frozen one: it does not require one)
@@ -84,7 +87,7 @@ def adamw_step(weights, state, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
         if weight_decay and decays(name, p):
             update = update + weight_decay * p.data
         p.data = p.data - lr * update

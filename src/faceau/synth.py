@@ -7,8 +7,9 @@ Cartoon faces on a grayscale canvas. Four geometric AUs drive the drawing:
   2 lip_corner_pull   mouth corners curve up proportionally to l/5
   3 mouth_open        lip aperture opens proportionally to l/5
 
-Intensity l per AU is drawn from a long-tailed distribution (P(l=0) = 0.55
-by default, geometric tail over 1..5); the occurrence bit is (l > 0).
+Intensity l per AU is drawn from a long-tailed distribution (P(l=0) =
+P_ZERO, geometric tail of ratio TAIL_RATIO over 1..5); the occurrence bit
+is (l > 0).
 Subjects carry fixed geometry jitter so identity and expression vary
 independently. Everything is a pure function of the arguments.
 """
@@ -22,6 +23,10 @@ import numpy as np
 from .data import Corpus, Manifest, SampleRecord, write_image, write_manifest
 
 AU_NAMES = ("brow_raise", "eye_widen", "lip_corner_pull", "mouth_open")
+P_ZERO = 0.55
+TAIL_RATIO = 0.55
+_TAIL = np.array([TAIL_RATIO ** k for k in range(5)], dtype=np.float64)
+_LEVEL_P = np.concatenate([[P_ZERO], _TAIL / _TAIL.sum() * (1.0 - P_ZERO)])  # P(l), l = 0..5
 
 
 def _subject_jitter(seed, subject_idx):
@@ -36,13 +41,6 @@ def _subject_jitter(seed, subject_idx):
         "face_gray": int(rng.integers(180, 221)),
         "feature_gray": int(rng.integers(30, 71)),
     }
-
-
-def _sample_levels(rng, num_aus, p_zero, tail_ratio):
-    probs = np.array([tail_ratio ** k for k in range(5)], dtype=np.float64)
-    probs = probs / probs.sum() * (1.0 - p_zero)
-    table = np.concatenate([[p_zero], probs])
-    return rng.choice(6, size=num_aus, p=table)
 
 
 def render_face(image_size, jitter, levels):
@@ -99,8 +97,7 @@ def render_face(image_size, jitter, levels):
     return image, landmarks
 
 
-def synth_corpus(seed, count, image_size=32, num_aus=4, num_subjects=10,
-                 p_zero=0.55, tail_ratio=0.55):
+def synth_corpus(seed, count, image_size=32, num_aus=4, num_subjects=10):
     """Generate `count` labeled faces across `num_subjects` identities."""
     if not (1 <= num_aus <= 4):
         raise ValueError(f"generator defines 4 action units; num_aus {num_aus} unsupported")
@@ -116,7 +113,7 @@ def synth_corpus(seed, count, image_size=32, num_aus=4, num_subjects=10,
     frame_counter = [0] * num_subjects
     for i in range(count):
         subj = i % num_subjects
-        levels = _sample_levels(rng, num_aus, p_zero, tail_ratio)
+        levels = rng.choice(6, size=num_aus, p=_LEVEL_P)
         image, landmarks = render_face(image_size, jitters[subj], levels)
         records.append(SampleRecord(
             image_path=f"img_{i:05d}.pgm",

@@ -21,8 +21,8 @@ import faceau
 import faceau.data
 import faceau.train
 from faceau import cli
-from faceau.data import (load_corpus, read_image, read_manifest, to_float,
-                         write_manifest)
+from faceau.data import (load_corpus, read_image, read_manifest, rotate_about,
+                         to_float, transform_points, write_image, write_manifest)
 from faceau.model import patchify, sample_mask
 from faceau.synth import synth_corpus, write_corpus
 
@@ -330,6 +330,29 @@ def test_align_writes_images_in_subdirectories(tmp_path):
     assert _tree(data) == before
     assert (out / "sub" / "img_00001.pgm").is_file()
     assert len(load_corpus(read_manifest(str(out / "manifest.jsonl")))) == 6
+
+
+def test_align_levels_tilted_eyes(tmp_path):
+    # tilt record 0's face and landmarks by 0.3 rad: align must rotate it back
+    data = _small_corpus(tmp_path)
+    manifest = read_manifest(str(data / "manifest.jsonl"))
+    records = list(manifest.records)
+    path = manifest.resolve(records[0])
+    center = (7.5, 7.5)
+    tilted = rotate_about(read_image(path), center, 0.3)
+    write_image(tilted, path)
+    landmarks = transform_points(records[0].landmarks, center, 0.3)
+    assert abs(landmarks[0, 1] - landmarks[1, 1]) > 1.0
+    records[0] = dataclasses.replace(records[0], landmarks=landmarks)
+    write_manifest(dataclasses.replace(manifest, records=records),
+                   str(data / "manifest.jsonl"))
+    out = tmp_path / "al"
+    assert run(["align", "--manifest", str(data / "manifest.jsonl"),
+                "--out", str(out)]) == 0
+    aligned = read_manifest(str(out / "manifest.jsonl"))
+    eyes = aligned.records[0].landmarks[:2]
+    assert abs(eyes[0, 1] - eyes[1, 1]) <= 0.5
+    assert not np.array_equal(read_image(aligned.resolve(aligned.records[0])), tilted)
 
 
 # ---------------------------------------------------------------------------
@@ -1273,6 +1296,32 @@ def test_finetune_refuses_to_write_over_its_init(tmp_path, corpus_dir, ft_dir,
     assert "one of this command's inputs" in capsys.readouterr().err
     assert hashlib.sha256((ft / "model.ckpt").read_bytes()).hexdigest() == init
     assert _tree(ft) == before
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "ablate-loss"])
+def test_training_command_refuses_to_write_over_its_config(tmp_path, corpus_dir, pre_dir,
+                                                           ft_dir, command, capsys):
+    # --config <d>/resolved.cfg --out <d> would rewrite the config it read
+    m = str(corpus_dir / "manifest.jsonl")
+    d = tmp_path / "run"
+    if command == "pretrain":
+        shutil.copytree(pre_dir, d)
+        argv = ["pretrain", "--manifest", m, "--epochs", "3"]
+    elif command == "finetune":
+        shutil.copytree(ft_dir, d)
+        argv = ["finetune", "--task", "detect", "--init", "scratch", "--manifest", m,
+                "--fold", "0", "--epochs", "3"]
+    else:
+        d.mkdir()
+        flags = ["--pretrain-epochs", "1", "--finetune-epochs", "1", "--batch-size", "4",
+                 *TINY_MODEL]
+        (d / "resolved.cfg").write_text("seed = 0\n" + "".join(
+            f"{k[2:].replace('-', '_')} = {v}\n" for k, v in zip(flags[::2], flags[1::2])))
+        argv = ["ablate-loss", "--manifest", m, "--eval-manifest", m]
+    before = _tree(d)
+    assert run([*argv, "--config", str(d / "resolved.cfg"), "--out", str(d)]) == 2
+    assert "one of this command's inputs" in capsys.readouterr().err
+    assert _tree(d) == before
 
 
 @pytest.fixture(scope="module")

@@ -59,6 +59,19 @@ def test_gelu_non_finite_inputs(dtype):
     assert np.isnan(got[1:]).all()
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_gelu_forward_is_the_same_taped_or_not(dtype):
+    # the derivative is computed only when a tape records; the forward must
+    # not depend on it
+    with ng.precision(dtype):
+        x = Tensor(np.random.default_rng(3).standard_normal((4, 16)), requires_grad=True)
+        untaped = ng.gelu(x).data
+        with Tape() as tape:
+            taped = ng.gelu(x).data
+    assert taped.tobytes() == untaped.tobytes()
+    assert len(tape.nodes) == 1
+
+
 def test_index_select_matches_loop_gather_and_scatter():
     rng = np.random.default_rng(5)
     with ng.precision("float64"):
@@ -231,6 +244,21 @@ def test_leaf_that_reuses_a_dead_outputs_id_gets_its_own_gradient(read):
     backward(loss, tape)
     assert np.array_equal(leaf.grad, [4.0, 4.0, 4.0])
     assert x.grad is None
+
+
+def test_output_of_an_earlier_tape_is_a_leaf_on_the_next():
+    # y was recorded on `first`; on `tape` it is a leaf: its gradient lands in
+    # y.grad, and none reaches x through `first`
+    with ng.precision("float64"):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with Tape() as first:
+            y = ng.square(x)
+        with Tape() as tape:
+            loss = ng.sum(ng.scale(y, 3.0))
+        backward(loss, tape)
+    assert np.array_equal(y.grad, [3.0, 3.0])
+    assert x.grad is None
+    assert len(first.nodes) == 1
 
 
 # ops whose backward does not read the input `h` [K=2, T=3, D=4]; `leaf`
