@@ -23,7 +23,7 @@ def drop_path(x, rate, rng, training):
     expectation is unchanged; identity when not training or rate is 0.
     `rng` is a generator, drawn once for one sample's branch, or, for a
     batch x [K, ...], the K uniform draws that decide its samples (the
-    training loop draws a batch's bits ahead, in one sample's order).
+    training loop draws a batch's bits in `prepare`, in one sample's order).
     """
     if rate >= 1.0:
         raise ValueError(f"drop rate {rate} must be < 1")

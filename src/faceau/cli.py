@@ -373,6 +373,9 @@ def render_triptych(weights, image_u8, ratio, rng):
 
 def cmd_reconstruct(args):
     ratios = args.mask_ratio
+    for ratio in ratios:
+        if not (0.0 <= ratio < 1.0):  # before round() names its file
+            raise ValueError(f"mask ratio {ratio!r} outside [0, 1)")
     names = [f"triptych_{round(ratio * 100):03d}.ppm" for ratio in ratios]
     for i, name in enumerate(names):
         if name in names[:i]:

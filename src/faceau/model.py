@@ -81,9 +81,10 @@ class ModelConfig:
             width = getattr(self, name)
             if width % 4 != 0:  # the sine-cosine position table splits it in four
                 raise ConfigError(f"{name} {width} not divisible by 4")
-            if int(width * self.mlp_ratio) < 1:  # the MLP's hidden width
+            hidden = width * self.mlp_ratio  # the MLP's hidden width
+            if not (math.isfinite(hidden) and int(hidden) >= 1):
                 raise ConfigError(f"{name} {width} x mlp_ratio {self.mlp_ratio} "
-                                  "gives an MLP hidden width below 1")
+                                  "gives an MLP hidden width outside [1, inf)")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.enc_width % self.enc_heads != 0:

@@ -1,16 +1,17 @@
 """Run orchestration: seeded random streams, the pre-training and fine-tuning
 loops, resumable run state, and the sparse-frames fine-tuning protocol.
 
-Both loops run on one training driver. A batch runs in chunks of K samples,
-one tape per chunk, with a single optimizer step per batch; each sample's
-gradient is added into the parameter buffers in sample order, so results
-equal a run that takes one sample at a time, and the effective batch size
-(the one the linear scaling rule sees) is `batch_size` regardless of memory.
-K follows from the model's shape (`chunk_size`). The loops differ only in
-how a batch's samples are prepared and in the chunk's per-sample losses.
-Every random draw comes from one of a fixed set of named streams derived
-from the run seed, which is what makes runs and resumes bit-exact. Run state
-is the "MAET" format of the checkpoint container in faceau.model.
+Both loops run on one training driver. A batch is a tuple of arrays, one
+row per sample, that holds every random draw the batch takes; it runs in
+chunks of K rows (`chunk_size`, from the model's shape), one tape per chunk,
+whose loss depends only on the weights and the rows, with a single optimizer
+step per batch. Each sample's gradient is added into the parameter buffers
+in sample order, so results equal a run that takes one sample at a time,
+and the effective batch size (the one the linear scaling rule sees) is
+`batch_size` regardless of memory. Every random draw comes from one of a
+fixed set of named streams derived from the run seed, which is what makes
+runs and resumes bit-exact. Run state is the "MAET" format of the
+checkpoint container in faceau.model.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .losses import (AULabels, denormalize_intensity, loss_detection,
                      loss_intensity, loss_pretrain, patch_normalize, raw_targets)
 from .metrics import f1_scores, intensity_report
 from .model import (ENCODER_PREFIXES, RUN_STATE_MAGIC, TASKS, CheckpointError,
-                    ModelConfig, ModelWeights, build_weights, classifier_forward,
-                    decoder_forward, encoder_forward, init_weights,
+                    MaskPlan, ModelConfig, ModelWeights, build_weights,
+                    classifier_forward, decoder_forward, encoder_forward, init_weights,
                     load_encoder_only, match_arrays, num_visible, param_shapes,
                     patchify, read_container, sample_mask, stack_plans,
                     write_container, write_file)
@@ -340,25 +341,15 @@ def load_run_state(path):
 # training loops
 
 
-def _backward_chunk(chunk_loss, chunk, batch_size):
-    """Record a chunk's per-sample losses on one tape and add their gradients
-    at 1/batch_size; returns the losses. The tape, which holds the chunk's
-    activations, is gone once this returns."""
-    with ng.Tape() as tape:
-        losses = chunk_loss(chunk)
-        total = ng.sum(ng.scale(losses, 1.0 / batch_size))
-    ng.backward(total, tape)
-    return losses.data.tolist()
-
-
 def _train(run, corpus, until_epoch, checkpoint, prepare, chunk_loss, after_epoch=None):
     """The epoch/batch driver both stages share. Per batch: `prepare(idx)`
-    turns corpus indices into a list of samples; `chunk_loss(samples)`
-    records the per-sample losses [k] of each chunk of chunk_size samples on
-    one tape; their gradients accumulate at 1/len(batch), and one AdamW step
-    and its TraceRow in run.trace follow. Runs from run.epoch up to
-    until_epoch (default: config.epochs), calls `after_epoch()` after each
-    epoch, then saves the run state to `checkpoint` (a path, or None) every
+    turns corpus indices into the batch, which holds every random draw; each
+    chunk of chunk_size rows records `chunk_loss(weights, *rows)`, per-sample
+    losses [k] that depend only on the weights and the rows, on one tape;
+    their gradients accumulate at 1/len(idx), and one AdamW step and its
+    TraceRow in run.trace follow. Runs from run.epoch up to until_epoch
+    (default: config.epochs), calls `after_epoch()` after each epoch, then
+    saves the run state to `checkpoint` (a path, or None) every
     checkpoint_every epochs. Returns the TraceRows of this call."""
     config = run.config
     stop = config.epochs if until_epoch is None else min(until_epoch, config.epochs)
@@ -370,11 +361,16 @@ def _train(run, corpus, until_epoch, checkpoint, prepare, chunk_loss, after_epoc
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
             lr = lr_at(config, run.step, steps_per_epoch)
-            samples = prepare(idx)
+            batch = prepare(idx)
             run.weights.zero_grad()
             batch_loss = 0.0
-            for c in range(0, len(samples), k):
-                for loss in _backward_chunk(chunk_loss, samples[c:c + k], len(idx)):
+            for c in range(0, len(idx), k):
+                # the tape holds the chunk's activations; backward uses it up
+                with ng.Tape() as tape:
+                    losses = chunk_loss(run.weights, *(a[c:c + k] for a in batch))
+                    total = ng.sum(ng.scale(losses, 1.0 / len(idx)))
+                ng.backward(total, tape)
+                for loss in losses.data.tolist():
                     batch_loss += loss / len(idx)
             if not math.isfinite(batch_loss):
                 raise NumericalError(f"non-finite loss at step {run.step}")
@@ -397,25 +393,26 @@ def pretrain_loop(run, corpus, until_epoch=None, checkpoint=None):
         raise TrainError(f"pretrain_loop needs task 'pretrain', got {config.task!r}")
     require_records(corpus.manifest)
     cfg = run.weights.config
+    visible = num_visible(cfg.num_patches, cfg.mask_ratio)
 
     def prepare(idx):
-        samples = []
+        # (patches [B, N, P], mask permutations [B, N])
+        patches, plans = [], []
         for i in idx:
             img = to_float(corpus.images[i])
             if config.random_crop:
                 img = random_crop_resize(img, run.streams["augment"],
                                          config.crop_min_scale, 1.0)
-            plan = sample_mask(cfg.num_patches, cfg.mask_ratio, run.streams["mask"])
-            samples.append((patchify(img, cfg.patch_size), plan))
-        return samples
+            patches.append(patchify(img, cfg.patch_size))
+            plans.append(sample_mask(cfg.num_patches, cfg.mask_ratio, run.streams["mask"]))
+        return np.stack(patches), stack_plans(plans).permutation
 
-    def chunk_loss(chunk):
-        patches = np.stack([p for p, _ in chunk])
-        plan = stack_plans([plan for _, plan in chunk])
+    def chunk_loss(weights, patches, perms):
+        plan = MaskPlan(perms, visible)
         targets = (patch_normalize(patches) if cfg.norm_pix_target
                    else raw_targets(patches))
-        latent = encoder_forward(run.weights, patches, plan)
-        pred = decoder_forward(run.weights, latent, plan)
+        latent = encoder_forward(weights, patches, plan)
+        pred = decoder_forward(weights, latent, plan)
         return loss_pretrain(pred, targets, plan, config.recon_loss, config.reduction)
 
     return _train(run, corpus, until_epoch, checkpoint, prepare, chunk_loss)
@@ -441,10 +438,13 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None, checkpoint=No
         for name, t in run.weights.params.items():
             if name.startswith(ENCODER_PREFIXES):
                 t.requires_grad = False
-    # frozen encoder means a deterministic feature extractor: no drop path
+    # frozen encoder means a deterministic feature extractor: no drop path.
+    # Else a sample takes a keep draw per block and branch, attention first
     drop = config.drop_path_rate > 0 and not config.freeze_encoder
+    branches = 2 * cfg.enc_depth if drop else 0
 
     def prepare(idx):
+        # (patches [B, N, P], labels [B, A], keep draws [B, branches])
         imgs = [to_float(corpus.images[i]) for i in idx]
         labels = label_rows[idx]
         if use_aug:
@@ -452,33 +452,28 @@ def finetune_loop(run, corpus, eval_corpus=None, until_epoch=None, checkpoint=No
                                   config.randaug_prob, run.streams["augment"])
                     for im in imgs]
         if task == "detect":
-            batch = np.stack(imgs)
+            imgs = np.stack(imgs)
             mix = run.streams["mix"]
             if config.mixup_alpha > 0 or config.cutmix_alpha > 0:
                 # with both enabled, one draw picks which mix this batch gets
                 if config.cutmix_alpha == 0 or (config.mixup_alpha > 0
                                                 and mix.random() < 0.5):
-                    batch, labels, _ = mixup(batch, labels, config.mixup_alpha, mix)
+                    imgs, labels, _ = mixup(imgs, labels, config.mixup_alpha, mix)
                 else:
-                    batch, labels, _ = cutmix(batch, labels, config.cutmix_alpha, mix)
-            imgs = list(batch)
+                    imgs, labels, _ = cutmix(imgs, labels, config.cutmix_alpha, mix)
             eps = config.label_smoothing
             labels = labels * (1.0 - eps) + 0.5 * eps
-        return [(patchify(np.asarray(img), cfg.patch_size), lab)
-                for img, lab in zip(imgs, labels)]
+        patches = np.stack([patchify(img, cfg.patch_size) for img in imgs])
+        return patches, labels, run.streams["branch"].random((len(idx), branches))
 
-    def chunk_loss(chunk):
-        patches = np.stack([p for p, _ in chunk])
-        labels = np.stack([lab for _, lab in chunk])
+    def chunk_loss(weights, patches, labels, keep):
         hook = None
         if drop:
-            # the chunk's keep draws in one sample's order: per sample, then
-            # per block, attention branch before MLP branch
-            draws = iter(run.streams["branch"].random((len(chunk), 2 * cfg.enc_depth)).T)
+            columns = iter(keep.T)
 
             def hook(t):
-                return drop_path(t, config.drop_path_rate, next(draws), training=True)
-        logits = classifier_forward(run.weights, patches, hook)
+                return drop_path(t, config.drop_path_rate, next(columns), training=True)
+        logits = classifier_forward(weights, patches, hook)
         if task == "detect":
             return loss_detection(logits, AULabels(occurrence=labels))
         return loss_intensity(ng.sigmoid(logits), AULabels(intensity=labels))
@@ -501,13 +496,10 @@ def evaluate(weights, corpus, threshold=0.5):
         raise TrainError(f"evaluate needs a fine-tune model, got {cfg.task!r}")
     gts = label_matrix(corpus.manifest, cfg)
     au_names = corpus.manifest.au_names
+    patches = np.stack([patchify(to_float(img), cfg.patch_size) for img in corpus.images])
     k = chunk_size(cfg)
-    scores = []
-    for c in range(0, len(corpus.images), k):
-        patches = np.stack([patchify(to_float(img), cfg.patch_size)
-                            for img in corpus.images[c:c + k]])
-        scores.append(ng.sigmoid(classifier_forward(weights, patches)).data)
-    scores = np.concatenate(scores)
+    scores = np.concatenate([ng.sigmoid(classifier_forward(weights, patches[c:c + k])).data
+                             for c in range(0, len(patches), k)])
     if cfg.task == "detect":
         return f1_scores((scores >= threshold).astype(np.int64), gts, au_names=au_names)
     return intensity_report(denormalize_intensity(scores), gts, au_names=au_names)

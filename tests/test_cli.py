@@ -657,6 +657,8 @@ def _reconstruct(p, ckpt, *ratios):
                  id="reconstruct-second-ratio-no-visible-token"),
     pytest.param(lambda p: _reconstruct(p, p["ft"], "0.75"), 2,
                  id="reconstruct-finetuned-checkpoint"),
+    pytest.param(lambda p: _reconstruct(p, p["pre"], "inf"), 2,
+                 id="reconstruct-mask-ratio-inf"),
     pytest.param(lambda p: ["eval", "--checkpoint", str(p["pre"] / "model.ckpt"),
                             "--manifest", _manifest(p)], 2,
                  id="eval-pretrain-checkpoint"),
@@ -710,6 +712,8 @@ def _reconstruct(p, ckpt, *ratios):
                  id="pretrain-weight-decay-inf"),
     pytest.param(lambda p: _pretrain(p, "--mlp-ratio", "inf"), 2,
                  id="pretrain-mlp-ratio-inf"),
+    pytest.param(lambda p: _pretrain(p, "--mlp-ratio", "1e308"), 2,
+                 id="pretrain-mlp-ratio-overflow"),
     pytest.param(lambda p: _pretrain(p, "--mlp-ratio", "0"), 2,
                  id="pretrain-mlp-ratio-zero"),
     pytest.param(lambda p: _pretrain(p, "--enc-heads", "0"), 2,

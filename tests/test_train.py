@@ -14,9 +14,10 @@ from faceau.augment import drop_path
 from faceau.data import Manifest, SampleRecord
 from faceau.losses import (AULabels, loss_detection, loss_intensity, loss_pretrain,
                            patch_normalize)
-from faceau.model import (ENCODER_PREFIXES, CheckpointError, classifier_forward,
-                          decoder_forward, encoder_forward, init_weights,
-                          load_weights, preset, save_weights)
+from faceau.model import (ENCODER_PREFIXES, CheckpointError, MaskPlan, build_weights,
+                          classifier_forward, decoder_forward, encoder_forward,
+                          init_weights, load_weights, num_visible, preset,
+                          save_weights)
 from faceau.optim import lr_at
 from faceau.synth import synth_corpus
 from faceau.train import (PARTIAL_EPOCHS, TrainConfig, TrainError, evaluate,
@@ -357,20 +358,24 @@ def test_frozen_encoder_gets_no_gradients(monkeypatch):
 # ---------------------------------------------- chunks against one-sample tapes
 
 
-def _one_sample_loss(run, sample):
-    """One sample's loss through the one-image model API, drop path drawing
-    from the branch stream per block as the forward reaches it."""
+def _one_sample_loss(run, *rows):
+    """One sample's rows of the prepared batch through the one-image model
+    API: [N, P] patches, a one-sample MaskPlan, and drop path deciding each
+    branch by one scalar of the sample's keep row, as the forward reaches it."""
     config = run.config
     if config.task == "pretrain":
-        patches, plan = sample
+        patches, perm = rows
+        model = run.weights.config
+        plan = MaskPlan(perm, num_visible(model.num_patches, model.mask_ratio))
         latent = encoder_forward(run.weights, patches, plan)
         return loss_pretrain(decoder_forward(run.weights, latent, plan),
                              patch_normalize(patches), plan, config.recon_loss,
                              config.reduction)
-    patches, labels = sample
+    patches, labels, keep = rows
+    draws = iter(keep)
 
     def hook(t):
-        return drop_path(t, config.drop_path_rate, run.streams["branch"], training=True)
+        return drop_path(t, config.drop_path_rate, next(draws), training=True)
 
     logits = classifier_forward(run.weights, patches, hook)
     if config.task == "detect":
@@ -383,11 +388,11 @@ def _one_sample_driver(losses):
     sample, its backward, gradients accumulated at 1/len(batch)."""
     def driver(run, corpus, until_epoch, checkpoint, prepare, chunk_loss, after_epoch=None):
         idx = run.streams["shuffle"].permutation(len(corpus))
-        samples = prepare(idx)
+        batch = prepare(idx)
         run.weights.zero_grad()
-        for sample in samples:
+        for rows in zip(*batch):
             with ng.Tape() as tape:
-                loss = _one_sample_loss(run, sample)
+                loss = _one_sample_loss(run, *rows)
                 share = ng.scale(loss, 1.0 / len(idx))
             ng.backward(share, tape)
             losses.append(loss.item())
@@ -398,8 +403,8 @@ def _one_sample_driver(losses):
 
 def _chunked_driver(losses, _train=faceau.train._train):
     def driver(run, corpus, until_epoch, checkpoint, prepare, chunk_loss, after_epoch=None):
-        def recorded(chunk):
-            out = chunk_loss(chunk)
+        def recorded(weights, *rows):
+            out = chunk_loss(weights, *rows)
             losses.extend(out.data.tolist())
             return out
         return _train(run, corpus, until_epoch, checkpoint, prepare, recorded, after_epoch)
@@ -439,6 +444,43 @@ def test_chunks_equal_one_sample_tapes_bit_for_bit(monkeypatch, task, batch, rec
     (ref_losses, ref_grads), (losses, grads) = results
     assert len(losses) == batch and losses == ref_losses
     assert grads == ref_grads
+
+
+@pytest.mark.parametrize("task,recipe", [
+    ("pretrain", dict(random_crop=True)),
+    ("detect", dict(mixup_alpha=0.2, cutmix_alpha=0.75, **AUGMENT)),
+])
+def test_a_chunk_depends_only_on_the_weights_and_its_rows(monkeypatch, task, recipe):
+    # the loop's prepare and chunk_loss, taken from a driver that runs nothing
+    loop_fns = {}
+
+    def capture(run, corpus, until_epoch, checkpoint, prepare, chunk_loss, after_epoch=None):
+        loop_fns.update(prepare=prepare, chunk_loss=chunk_loss)
+        return []
+
+    monkeypatch.setattr(faceau.train, "_train", capture)
+    corpus = synth_corpus(seed=3, count=5, image_size=32, num_subjects=2)
+    model = preset("desk", task=task)
+    run = start_run(model, tiny_config(task, epochs=1, batch_size=5, **recipe))
+    loop = pretrain_loop if task == "pretrain" else finetune_loop
+    loop(run, corpus)
+    batch = loop_fns["prepare"](np.arange(len(corpus)))
+    k = faceau.train.chunk_size(model)
+    rows = tuple(a[:k] for a in batch)
+    states = {name: g.bit_generator.state for name, g in run.streams.items()}
+    results = []
+    for _ in range(2):
+        weights = build_weights(model, ((name, t.data.copy())
+                                        for name, t in run.weights.params.items()))
+        with ng.Tape() as tape:
+            losses = loop_fns["chunk_loss"](weights, *rows)
+            total = ng.sum(losses)
+        ng.backward(total, tape)
+        # the gradients land in the weights handed in, and in every one
+        results.append((losses.data.tobytes(),
+                        {name: t.grad.tobytes() for name, t in weights.params.items()}))
+    assert results[0] == results[1]
+    assert {name: g.bit_generator.state for name, g in run.streams.items()} == states
 
 
 # ----------------------------------------------------------------- evaluate
